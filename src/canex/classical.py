@@ -178,8 +178,9 @@ def tautology_status(term: Term, max_vars: int = 32, *,
     if cleaned is None:
         cleaned = clean(term)
     if is_simple_antilogy(cleaned):
-        witness = _full_witness(term, antilogy_valuation(cleaned))
-        return TautologyStatus(NOT_TAUTOLOGY, CERT_ANTILOGY, witness)
+        # Cleaning keeps the goal, so the raw term's antilogy valuation is
+        # the cleaned one's, extended by True to the dropped variables.
+        return TautologyStatus(NOT_TAUTOLOGY, CERT_ANTILOGY, antilogy_valuation(term))
     variables = distinct_vars(cleaned)
     if len(variables) <= max_vars:
         found = falsify_search(cleaned)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .classical import TAUTOLOGY, UNKNOWN, CERT_ANTILOGY, \
-    TautologyStatus, is_simple_non_tautology, tautology_status
+    TautologyStatus, is_simple_antilogy, is_simple_non_tautology, \
+    tautology_status
 from .counting import stam_table
 from .intuition import IntuitVerdict, cheap_verdict, clean, is_simple
 from .sampling import random_canonical, stream_for_sample
@@ -138,6 +139,16 @@ def _classify_chunk(args) -> tuple[dict, list]:
     records = []
     for index in range(lo, hi):
         term = random_canonical(stream_for_sample(seed, index), n, table)
+        if not dump and is_simple_antilogy(term):
+            # Settled without clean, which only the dump's cleanedSize needs.
+            # Cleaning keeps every goal and every bare-variable premise, so a
+            # raw antilogy is a cleaned antilogy: no tautology, hence not
+            # cheap.  It is not simple (a premise equal to the goal defeats
+            # the filter) nor mp (a premise v -> goal passes it only when v
+            # is the goal), so not easy either.
+            counts["n_antilogy"] += 1
+            counts["n_simple_non_taut"] += is_simple_non_tautology(term)
+            continue
         cls = classify(term, max_vars)
         v, t = cls.verdict, cls.taut
         counts["n_simple"] += v.simple
@@ -162,20 +173,34 @@ def _chunk_bounds(count: int, pieces: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
+def _map_chunks(chunk_fn, n: int, seed: int, count: int, workers: int,
+                *extra) -> list:
+    """``chunk_fn((n, seed, lo, hi, *extra))`` over chunks covering 0..count-1.
+
+    Runs in this process for one worker, else on a process pool.  The
+    partition table is built first, so forked workers inherit it cached.
+    """
+    stam_table(n)
+    chunks = [(n, seed, lo, hi, *extra)
+              for lo, hi in _chunk_bounds(count, max(workers * 4, 1))]
+    if workers == 1:
+        return [chunk_fn(c) for c in chunks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(chunk_fn, chunks))
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Deterministic for a fixed config, whatever the worker count."""
+    """Deterministic for a fixed config, whatever the worker count.
+
+    Without a dump, samples that are antilogies on the raw term are counted
+    without ``clean``; the counts are those of the full classification.
+    """
     started = time.perf_counter()
     dump = cfg.dump_jsonl is not None
-    chunks = [(cfg.n, cfg.seed, lo, hi, cfg.max_vars, dump)
-              for lo, hi in _chunk_bounds(cfg.count, max(cfg.workers * 4, 1))]
+    results = _map_chunks(_classify_chunk, cfg.n, cfg.seed, cfg.count,
+                          cfg.workers, cfg.max_vars, dump)
     report = ExperimentReport(n=cfg.n, count=cfg.count, seed=cfg.seed,
                               max_vars=cfg.max_vars)
-    results = []
-    if cfg.workers == 1:
-        results = [_classify_chunk(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_classify_chunk, chunks))
     all_records = []
     for counts, records in results:
         for name, value in counts.items():
@@ -214,14 +239,7 @@ def _simple_rate_chunk(args) -> int:
 def simple_rate(n: int, count: int, seed: int = DEFAULT_SEED,
                 workers: int = 1) -> float:
     """Fraction of samples that are simple; same streams as run_experiment."""
-    chunks = [(n, seed, lo, hi)
-              for lo, hi in _chunk_bounds(count, max(workers * 4, 1))]
-    if workers == 1:
-        hits = sum(_simple_rate_chunk(c) for c in chunks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_simple_rate_chunk, chunks))
-    return hits / count
+    return sum(_map_chunks(_simple_rate_chunk, n, seed, count, workers)) / count
 
 
 def rn_table(sizes: list[int], count: int, seed: int = DEFAULT_SEED,

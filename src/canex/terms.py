@@ -222,6 +222,42 @@ def decode_remy_vector(entries: Sequence[int], n: int) -> Term:
     return built[entries[0]]
 
 
+def decode_labelled_vector(entries: Sequence[int], labels: Sequence[int]) -> Term:
+    """The term ``attach_vars(shape_of(decode_remy_vector(entries, n)), labels)``.
+
+    Builds it in one walk of the insertion vector, handing out ``labels`` to
+    the leaves left to right; ``n`` is ``len(labels)``.  The vector is trusted
+    to encode a tree (as ``random_tree_vector`` guarantees); validate foreign
+    vectors with ``decode_remy_vector`` first.  The walk still stops with an
+    error on a vector that does not reach exactly ``n - 1`` internal nodes,
+    so a malformed vector can neither loop nor leave labels unused.
+    """
+    n = len(labels)
+    if len(entries) != 2 * n - 1:
+        raise ValueError(f"{n} labels for a vector of {len(entries)} entries "
+                         f"({(len(entries) + 1) // 2} leaves)")
+    it = iter(labels)
+    done: list = []
+    work = [entries[0]]
+    internal = 0
+    while work:
+        label = work.pop()
+        if label < 0:  # both children are built: join them
+            right = done.pop()
+            done[-1] = (done[-1], right)
+        elif label & 1:
+            internal += 1
+            if internal == n:
+                raise RemyVectorError("vector reaches more internal nodes than it has")
+            work += (-1, entries[label + 1], entries[label])
+        else:
+            # At most internal + 1 <= n leaves are reached, so labels suffice.
+            done.append(next(it))
+    if internal != n - 1:
+        raise RemyVectorError("vector does not reach every internal node")
+    return done[0]
+
+
 def render(term: Term) -> str:
     """Expression text with minimal parentheses; ``->`` associates right."""
     out = []

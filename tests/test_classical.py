@@ -3,13 +3,16 @@ import itertools
 import pytest
 
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
-                             TAUTOLOGY, UNKNOWN, antilogy_valuation,
+                             TAUTOLOGY, UNKNOWN, _full_witness,
+                             antilogy_valuation,
                              collapse_high_vars, evaluate, falsify_search,
                              is_simple_antilogy, is_simple_non_tautology,
                              tautology_status)
+from canex.counting import stam_table
 from canex.intuition import clean
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
+from canex.sampling import random_canonical, stream_for_sample
 from canex.terms import distinct_vars, leaf_vars, parse
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
@@ -61,6 +64,24 @@ class TestSimpleAntilogy:
                 if is_simple_antilogy(term):
                     assert evaluate(term, antilogy_valuation(term)) is False
                     assert not truth_table_tautology(term)
+
+
+class TestAntilogyWitness:
+    @pytest.mark.parametrize("n", [25, 100])
+    def test_raw_valuation_equals_cleaned_one_filled(self, n):
+        # The witness is the raw term's antilogy valuation; it must equal the
+        # cleaned term's valuation filled with True on the dropped variables.
+        table = stam_table(n)
+        antilogies = 0
+        for i in range(300):
+            term = random_canonical(stream_for_sample(12358, i), n, table)
+            status = tautology_status(term)
+            if status.certificate != CERT_ANTILOGY:
+                continue
+            antilogies += 1
+            assert status.witness == _full_witness(term, antilogy_valuation(clean(term)))
+            assert evaluate(term, status.witness) is False
+        assert antilogies > 100
 
 
 class TestSimpleNonTautology:

@@ -59,6 +59,19 @@ class TestRunExperiment:
         assert len(rows) == 1
         assert reports[0].records == reports[1].records == reports[2].records
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_count_only_path_matches_dump_path(self, tmp_path, workers):
+        # Without a dump, raw antilogies skip clean and the classifiers; the
+        # dump path classifies every sample in full.
+        for n in (8, 30, 100):
+            for seed in (3, 12358, 2 ** 64 - 1):
+                base = dict(n=n, count=300, seed=seed, workers=workers)
+                fast = run_experiment(ExperimentConfig(**base))
+                full = run_experiment(ExperimentConfig(
+                    **base, dump_jsonl=str(tmp_path / "dump.jsonl")))
+                assert fast.csv_row() == full.csv_row()
+                assert fast.n_cheap_unknown == full.n_cheap_unknown
+
     def test_count_consistency(self):
         report = run_experiment(ExperimentConfig(n=10, count=400, seed=7))
         assert report.n_simple <= report.n_easy <= report.n_cheap

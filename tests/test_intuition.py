@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
+from canex.counting import stam_table
 from canex.intuition import (cheap_verdict, clean, is_cheap, is_easy, is_minor,
                              is_mp, is_simple)
 from canex.reference import enumerate_canonical, prove_intuitionistic
+from canex.sampling import random_canonical, stream_for_sample
 from canex.terms import leaf_count, parse, spine
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
@@ -82,11 +86,14 @@ class TestClean:
         assert clean(0) == 0
 
     def test_idempotent_and_never_grows(self):
-        for n in range(1, 7):
-            for term in enumerate_canonical(n):
-                cleaned = clean(term)
-                assert leaf_count(cleaned) <= leaf_count(term)
-                assert clean(cleaned) == cleaned
+        # clean is a single pass, so idempotence is the fixpoint claim.
+        sampled = [random_canonical(stream_for_sample(9, i), n, stam_table(n))
+                   for n in (100, 300) for i in range(300)]
+        exhaustive = (t for n in range(1, 7) for t in enumerate_canonical(n))
+        for term in itertools.chain(exhaustive, sampled):
+            cleaned = clean(term)
+            assert leaf_count(cleaned) <= leaf_count(term)
+            assert clean(cleaned) == cleaned
 
     def test_preserves_provability_exhaustive(self):
         for n in range(1, 7):

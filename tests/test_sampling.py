@@ -9,8 +9,9 @@ from canex.sampling import (ClassDescription, SplitMix64, mix64,
                             random_canonical, random_partition, random_tree,
                             random_tree_vector, remy_step, stream_for_sample,
                             to_growth_string)
-from canex.terms import (canonicalize, decode_remy_vector, is_valid_growth_string,
-                         leaf_count, leaf_vars, render, shape_of)
+from canex.terms import (attach_vars, canonicalize, decode_remy_vector,
+                         is_valid_growth_string, leaf_count, leaf_vars, render,
+                         shape_of)
 
 # Upper 0.001 tail of the chi-square distribution.
 CHI2_CRIT = {2: 13.816, 4: 18.467, 9: 27.877, 13: 34.528, 14: 36.123}
@@ -207,6 +208,18 @@ class TestRandomCanonical:
     def test_table_size_mismatch(self):
         with pytest.raises(ValueError):
             random_canonical(SplitMix64(0), 5, stam_table(6))
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_one_walk_build_matches_reference_path(self, n):
+        # random_canonical builds in one walk; the reference decodes the
+        # vector, forgets the leaf labels and attaches the growth string.
+        table = stam_table(n)
+        for i in range(500):
+            fast, slow = stream_for_sample(31, i), stream_for_sample(31, i)
+            shape = shape_of(decode_remy_vector(random_tree_vector(slow, n), n))
+            growth = to_growth_string(random_partition(slow, table))
+            assert random_canonical(fast, n, table) == attach_vars(shape, growth)
+            assert fast.next_u64() == slow.next_u64()
 
     def test_deterministic_and_order_independent(self):
         table = stam_table(9)

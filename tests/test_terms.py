@@ -4,7 +4,8 @@ import pytest
 
 from canex.terms import (CanonicalityError, ParseError, RemyVectorError,
                          attach_vars, canonical_form, canonicalize,
-                         decode_remy_vector, from_json_obj, is_canonical,
+                         decode_labelled_vector, decode_remy_vector,
+                         from_json_obj, is_canonical,
                          is_valid_growth_string, leaf_count, leaf_vars, parse,
                          render, shape_of, shape_string, spine, to_json_obj)
 from canex.reference import enumerate_canonical
@@ -112,6 +113,30 @@ class TestDecodeRemyVector:
         # Root is a leaf label, so labels 1 and 2 are never visited.
         with pytest.raises(RemyVectorError):
             decode_remy_vector([0, 2, 0], 2)
+
+
+class TestDecodeLabelledVector:
+    def test_ten_leaf_worked_example(self):
+        v = [1, 13, 0, 2, 5, 9, 7, 8, 4, 11, 17, 12, 10, 15, 3, 16, 14, 18, 6]
+        labels = [0, 2, 2, 0, 2, 0, 1, 0, 0, 0]
+        term = decode_labelled_vector(v, labels)
+        assert term == attach_vars(shape_of(decode_remy_vector(v, 10)), labels)
+        assert leaf_vars(term) == labels
+
+    def test_single_leaf(self):
+        assert decode_labelled_vector([0], [0]) == 0
+
+    def test_label_count_mismatch(self):
+        with pytest.raises(ValueError):
+            decode_labelled_vector([1, 2, 0], [0])
+        with pytest.raises(ValueError):
+            decode_labelled_vector([1, 2, 0], [1, 0, 0])
+
+    def test_malformed_vectors_stop(self):
+        with pytest.raises(RemyVectorError):
+            decode_labelled_vector([1, 1, 0], [0, 0])  # cycle
+        with pytest.raises(RemyVectorError):
+            decode_labelled_vector([0, 2, 0], [1, 0])  # root is a leaf
 
 
 class TestSpine:
