@@ -1,14 +1,13 @@
 """Uniform random canonical implicative expressions and their classification."""
 
 from .classical import (NOT_TAUTOLOGY, TAUTOLOGY, UNKNOWN, TautologyStatus,
-                        collapse_high_vars, evaluate, falsify_search,
-                        is_simple_antilogy, is_simple_non_tautology,
-                        tautology_status)
+                        evaluate, falsify_search, is_simple_antilogy,
+                        is_simple_non_tautology, tautology_status)
 from .counting import (StamTable, bell, catalan, count_canonical, lambert_root,
                        log10_count_estimate, stam_table)
-from .experiment import (DEFAULT_MAX_VARS, DEFAULT_SEED, Classification,
-                         ExperimentConfig, ExperimentReport, classify,
-                         emit_report, rn_table, run_experiment, simple_rate)
+from .experiment import (DEFAULT_SEED, Classification, ExperimentConfig,
+                         ExperimentReport, classify, emit_report, rn_table,
+                         run_experiment, simple_rate)
 from .intuition import (IntuitVerdict, cheap_verdict, clean, is_cheap, is_easy,
                         is_minor, is_mp, is_simple)
 from .reference import (all_growth_strings, all_shapes, chi_square,

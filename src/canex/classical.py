@@ -6,7 +6,9 @@ goal is true or some premise is false.  That flattening drives everything
 here: the antilogy filter certifies non-tautologies with the valuation that
 sets the goal false and every other variable true, and the falsifier search
 decomposes signed requirements on subterms, branching only where a choice
-genuinely exists.
+genuinely exists.  The search is complete for any number of variables; only
+its work is bounded, by ``SEARCH_BUDGET`` choice points, so ``unknown`` means
+that budget ran out and nothing else.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ UNKNOWN = "unknown"
 
 CERT_ANTILOGY = "antilogy"
 CERT_VALUATION = "valuation"
+
+# Choice points (calls to falsify_search's attempt) before a search gives up.
+# Sampled terms need a few thousand at most (n=100); a pigeonhole tautology
+# PHP(4,3) needs about 131 thousand, so this bounds the worst case at seconds.
+SEARCH_BUDGET = 1 << 20
+
+
+class SearchBudgetExceeded(Exception):
+    """falsify_search used up SEARCH_BUDGET choice points without deciding."""
 
 
 def evaluate(term: Term, valuation: Mapping[int, bool]) -> bool:
@@ -68,24 +79,6 @@ def antilogy_valuation(term: Term) -> dict[int, bool]:
     return {v: v != goal for v in distinct_vars(term)}
 
 
-def collapse_high_vars(term: Term, bound: int) -> Term:
-    """Replace every variable index above ``bound`` by ``bound``.
-
-    Any falsifying valuation of the collapsed term lifts to the original by
-    giving all collapsed variables the bound's value; the result is generally
-    not canonical, which is fine since it is only evaluated.
-    """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    if isinstance(term, int):
-        return term if term <= bound else bound
-    left = collapse_high_vars(term[0], bound)
-    right = collapse_high_vars(term[1], bound)
-    if left is term[0] and right is term[1]:
-        return term
-    return (left, right)
-
-
 def falsify_search(term: Term) -> Optional[dict[int, bool]]:
     """A falsifying valuation if one exists, else None.
 
@@ -94,13 +87,19 @@ def falsify_search(term: Term) -> Optional[dict[int, bool]]:
     points are implications required true, where either the premise goes
     false or the conclusion goes true.  The returned assignment may be
     partial; unmentioned variables are free.  Agrees exactly with full
-    truth-table enumeration.
+    truth-table enumeration.  Raises ``SearchBudgetExceeded`` once
+    ``SEARCH_BUDGET`` choice points have been tried without a decision.
     """
     rho: dict[int, bool] = {}
+    calls = 0
 
     def attempt(pending: list) -> bool:
         # On success rho holds a consistent extension; on failure it is
         # restored to its state at entry.
+        nonlocal calls
+        calls += 1
+        if calls > SEARCH_BUDGET:
+            raise SearchBudgetExceeded
         trail: list[int] = []
         stack = list(pending)
         deferred = []
@@ -158,43 +157,30 @@ class TautologyStatus:
 
 
 def _full_witness(term: Term, partial: Mapping[int, bool]) -> dict[int, bool]:
-    # Variables dropped by cleaning (or collapsed away) may take any value;
-    # fill with True so the witness is total on the original term.
+    # Variables dropped by cleaning, or left free by the search, may take any
+    # value; fill with True so the witness is total on the original term.
     return {v: bool(partial.get(v, True)) for v in distinct_vars(term)}
 
 
-def tautology_status(term: Term, max_vars: int = 32, *,
-                     cleaned: Term | None = None) -> TautologyStatus:
+def tautology_status(term: Term, *, cleaned: Term | None = None) -> TautologyStatus:
     """Decide whether ``term`` is a classical tautology.
 
-    Pipeline: clean, then the antilogy filter, then a falsifier search when at
-    most ``max_vars`` distinct variables remain.  Wider terms are searched
-    with indices above ``max_vars - 1`` collapsed together: a falsified
-    collapse disproves the original, an unfalsified one is inconclusive and
-    reported as unknown rather than guessed.
+    Pipeline: clean, then the antilogy filter, then the falsifier search.
+    A search that exhausts its budget is reported as unknown rather than
+    guessed.
     """
-    if max_vars < 1:
-        raise ValueError("max_vars must be at least 1")
     if cleaned is None:
         cleaned = clean(term)
     if is_simple_antilogy(cleaned):
         # Cleaning keeps the goal, so the raw term's antilogy valuation is
         # the cleaned one's, extended by True to the dropped variables.
         return TautologyStatus(NOT_TAUTOLOGY, CERT_ANTILOGY, antilogy_valuation(term))
-    variables = distinct_vars(cleaned)
-    if len(variables) <= max_vars:
+    try:
         found = falsify_search(cleaned)
-        if found is None:
-            return TautologyStatus(TAUTOLOGY)
-        return TautologyStatus(NOT_TAUTOLOGY, CERT_VALUATION, _full_witness(term, found))
-    bound = max_vars - 1
-    found = falsify_search(collapse_high_vars(cleaned, bound))
-    if found is None:
+    except SearchBudgetExceeded:
         return TautologyStatus(
-            UNKNOWN,
-            reason=f"{len(variables)} distinct variables exceed max_vars={max_vars} "
-                   f"and the collapsed search found no falsifier")
-    # The search may stop on a partial assignment; unassigned variables are
-    # free, so default them (and the shared collapsed value) to True.
-    lifted = {v: found.get(v if v <= bound else bound, True) for v in variables}
-    return TautologyStatus(NOT_TAUTOLOGY, CERT_VALUATION, _full_witness(term, lifted))
+            UNKNOWN, reason=f"falsifier search exhausted its budget of "
+                            f"{SEARCH_BUDGET} choice points")
+    if found is None:
+        return TautologyStatus(TAUTOLOGY)
+    return TautologyStatus(NOT_TAUTOLOGY, CERT_VALUATION, _full_witness(term, found))

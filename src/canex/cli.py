@@ -51,7 +51,7 @@ def _cmd_classify(args) -> int:
         return 2
     if args.canonicalize:
         term = terms.canonical_form(term)
-    cls = experiment.classify(term, args.max_vars)
+    cls = experiment.classify(term)
     payload = {"expr": terms.render(term)}
     payload.update(cls.as_record())
     payload["cleaned"] = terms.render(cls.verdict.cleaned)
@@ -75,7 +75,7 @@ def _cmd_enumerate(args) -> int:
         for index, term in enumerate(stream):
             record = {"index": index, "expr": terms.render(term)}
             if args.classify:
-                record.update(experiment.classify(term, args.max_vars).as_record())
+                record.update(experiment.classify(term).as_record())
             print(json.dumps(record, separators=(",", ":")))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -85,12 +85,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = experiment.ExperimentConfig(
-        n=args.n, count=args.count, seed=args.seed, max_vars=args.max_vars,
-        workers=args.workers, out_csv=args.out_csv, dump_jsonl=args.dump_jsonl,
-        timing=args.timing)
+        n=args.n, count=args.count, seed=args.seed, workers=args.workers,
+        dump_jsonl=args.dump_jsonl)
     report = experiment.run_experiment(cfg)
-    text = experiment.emit_report(report, out_csv=cfg.out_csv,
-                                  dump_jsonl=cfg.dump_jsonl, timing=cfg.timing)
+    text = experiment.emit_report(report, out_csv=args.out_csv,
+                                  dump_jsonl=args.dump_jsonl, timing=args.timing)
     print(text, end="")
     return 0
 
@@ -125,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify one expression")
     p.add_argument("--expr", required=True, help="expression text, e.g. 'a1->a0->a0'")
-    p.add_argument("--max-vars", type=int, default=experiment.DEFAULT_MAX_VARS)
     p.add_argument("--canonicalize", action="store_true",
                    help="renumber foreign variable numberings instead of rejecting them")
     p.add_argument("--witness", action="store_true",
@@ -136,14 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream every expression of one size as JSONL")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classify", action="store_true")
-    p.add_argument("--max-vars", type=int, default=experiment.DEFAULT_MAX_VARS)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("experiment", help="sample, classify, and aggregate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     _add_seed(p)
-    p.add_argument("--max-vars", type=int, default=experiment.DEFAULT_MAX_VARS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--dump-jsonl", default=None)

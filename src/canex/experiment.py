@@ -24,7 +24,6 @@ from .sampling import random_canonical, stream_for_sample
 from .terms import Term, render
 
 DEFAULT_SEED = 12358
-DEFAULT_MAX_VARS = 32
 
 CSV_COLUMNS = (
     "n,count,seed,nSimple,nMP,nEasy,nCheap,nTautology,nCheapAndTaut,"
@@ -50,11 +49,11 @@ class Classification:
         return record
 
 
-def classify(term: Term, max_vars: int = DEFAULT_MAX_VARS) -> Classification:
+def classify(term: Term) -> Classification:
     cleaned = clean(term)
     return Classification(
         verdict=cheap_verdict(term, cleaned=cleaned),
-        taut=tautology_status(term, max_vars, cleaned=cleaned),
+        taut=tautology_status(term, cleaned=cleaned),
         simple_non_taut=is_simple_non_tautology(term),
     )
 
@@ -64,19 +63,14 @@ class ExperimentConfig:
     n: int
     count: int
     seed: int = DEFAULT_SEED
-    max_vars: int = DEFAULT_MAX_VARS
     workers: int = 1
-    out_csv: Optional[str] = None
     dump_jsonl: Optional[str] = None
-    timing: bool = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        if self.max_vars < 1:
-            raise ValueError("max_vars must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -91,7 +85,6 @@ class ExperimentReport:
     n: int
     count: int
     seed: int
-    max_vars: int
     n_simple: int = 0
     n_mp: int = 0
     n_easy: int = 0
@@ -99,7 +92,7 @@ class ExperimentReport:
     n_tautology: int = 0
     n_cheap_and_taut: int = 0
     # Cheap expressions are never refuted; the only way one misses the
-    # tautology count is an unknown status (too many variables). Tracked so
+    # tautology count is an unknown status (search budget exhausted). Tracked so
     # the identity n_cheap_and_taut == n_cheap - n_cheap_unknown is checkable.
     n_cheap_unknown: int = 0
     n_simple_non_taut: int = 0
@@ -133,7 +126,7 @@ class ExperimentReport:
 
 
 def _classify_chunk(args) -> tuple[dict, list]:
-    n, seed, lo, hi, max_vars, dump = args
+    n, seed, lo, hi, dump = args
     table = stam_table(n)
     counts = dict.fromkeys(_COUNT_FIELDS, 0)
     records = []
@@ -149,7 +142,7 @@ def _classify_chunk(args) -> tuple[dict, list]:
             counts["n_antilogy"] += 1
             counts["n_simple_non_taut"] += is_simple_non_tautology(term)
             continue
-        cls = classify(term, max_vars)
+        cls = classify(term)
         v, t = cls.verdict, cls.taut
         counts["n_simple"] += v.simple
         counts["n_mp"] += v.mp
@@ -168,21 +161,21 @@ def _classify_chunk(args) -> tuple[dict, list]:
     return counts, records
 
 
-def _chunk_bounds(count: int, pieces: int) -> list[tuple[int, int]]:
-    size = max(1, math.ceil(count / pieces))
-    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+def _chunks(n: int, seed: int, count: int, workers: int, *extra) -> list[tuple]:
+    """Chunk arguments ``(n, seed, lo, hi, *extra)`` covering samples 0..count-1."""
+    size = max(1, math.ceil(count / max(workers * 4, 1)))
+    return [(n, seed, lo, min(lo + size, count), *extra)
+            for lo in range(0, count, size)]
 
 
-def _map_chunks(chunk_fn, n: int, seed: int, count: int, workers: int,
-                *extra) -> list:
-    """``chunk_fn((n, seed, lo, hi, *extra))`` over chunks covering 0..count-1.
+def _map_chunks(chunk_fn, chunks: list[tuple], workers: int) -> list:
+    """``chunk_fn`` over ``chunks``, whose first item is the size ``n``.
 
-    Runs in this process for one worker, else on a process pool.  The
-    partition table is built first, so forked workers inherit it cached.
+    Runs in this process for one worker, else on one process pool.  The
+    partition tables are built first, so forked workers inherit them cached.
     """
-    stam_table(n)
-    chunks = [(n, seed, lo, hi, *extra)
-              for lo, hi in _chunk_bounds(count, max(workers * 4, 1))]
+    for n in {chunk[0] for chunk in chunks}:
+        stam_table(n)
     if workers == 1:
         return [chunk_fn(c) for c in chunks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -197,10 +190,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     started = time.perf_counter()
     dump = cfg.dump_jsonl is not None
-    results = _map_chunks(_classify_chunk, cfg.n, cfg.seed, cfg.count,
-                          cfg.workers, cfg.max_vars, dump)
-    report = ExperimentReport(n=cfg.n, count=cfg.count, seed=cfg.seed,
-                              max_vars=cfg.max_vars)
+    chunks = _chunks(cfg.n, cfg.seed, cfg.count, cfg.workers, dump)
+    results = _map_chunks(_classify_chunk, chunks, cfg.workers)
+    report = ExperimentReport(n=cfg.n, count=cfg.count, seed=cfg.seed)
     all_records = []
     for counts, records in results:
         for name, value in counts.items():
@@ -239,15 +231,23 @@ def _simple_rate_chunk(args) -> int:
 def simple_rate(n: int, count: int, seed: int = DEFAULT_SEED,
                 workers: int = 1) -> float:
     """Fraction of samples that are simple; same streams as run_experiment."""
-    return sum(_map_chunks(_simple_rate_chunk, n, seed, count, workers)) / count
+    chunks = _chunks(n, seed, count, workers)
+    return sum(_map_chunks(_simple_rate_chunk, chunks, workers)) / count
 
 
 def rn_table(sizes: list[int], count: int, seed: int = DEFAULT_SEED,
              workers: int = 1) -> str:
-    """CSV comparing the simple rate with log(n)/n across sizes."""
+    """CSV comparing the simple rate with log(n)/n across sizes.
+
+    Every size's chunks go through one ``_map_chunks`` call, so at most one
+    process pool serves the whole table.
+    """
+    per_size = [_chunks(n, seed, count, workers) for n in sizes]
+    hits = iter(_map_chunks(_simple_rate_chunk,
+                            [c for chunks in per_size for c in chunks], workers))
     lines = [RNTABLE_COLUMNS]
-    for n in sizes:
-        rate = simple_rate(n, count, seed, workers)
+    for n, chunks in zip(sizes, per_size):
+        rate = sum(next(hits) for _ in chunks) / count
         reference = math.log(n) / n
         lines.append(",".join([
             str(n), str(count), str(seed), repr(reference), repr(rate),

@@ -23,18 +23,9 @@ def is_simple(term: Term) -> bool:
     return any(p == goal for p in premises if isinstance(p, int))
 
 
-def is_mp(term: Term, include_compound: bool = False) -> bool:
-    """Premises contain some variable v together with v -> goal.
-
-    ``include_compound`` widens v to arbitrary premises (still sound, but not
-    part of the default cascade, whose statistics assume the narrow pattern).
-    """
+def is_mp(term: Term) -> bool:
+    """Premises contain some variable v together with v -> goal."""
     premises, goal = spine(term)
-    if include_compound:
-        present = set(premises)
-        return any(
-            isinstance(p, tuple) and p[1] == goal and p[0] in present
-            for p in premises)
     variables = {p for p in premises if isinstance(p, int)}
     return any(
         isinstance(p, tuple) and p[1] == goal

@@ -1,11 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
-                             TAUTOLOGY, UNKNOWN, _full_witness,
-                             antilogy_valuation,
-                             collapse_high_vars, evaluate, falsify_search,
+                             SEARCH_BUDGET, TAUTOLOGY, UNKNOWN, _full_witness,
+                             antilogy_valuation, evaluate, falsify_search,
                              is_simple_antilogy, is_simple_non_tautology,
                              tautology_status)
 from canex.counting import stam_table
@@ -13,7 +13,7 @@ from canex.intuition import clean
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
 from canex.sampling import random_canonical, stream_for_sample
-from canex.terms import distinct_vars, leaf_vars, parse
+from canex.terms import distinct_vars, leaf_count, parse
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
 
@@ -97,40 +97,6 @@ class TestSimpleNonTautology:
                     assert is_simple_antilogy(term)
 
 
-class TestCollapse:
-    def test_indices_above_bound_merge(self):
-        # Chain over indices 0..40; everything above 31 becomes 31.
-        term = parse("->".join(f"a{i}" for i in range(40, -1, -1)), canonical=False)
-        collapsed = collapse_high_vars(term, 31)
-        assert max(leaf_vars(collapsed)) == 31
-        assert leaf_vars(collapsed) == [min(i, 31) for i in range(40, -1, -1)]
-
-    def test_unchanged_when_within_bound(self):
-        term = parse("a1->a0->a0")
-        assert collapse_high_vars(term, 5) is term
-
-    def test_falsifier_lifts(self):
-        term = parse("a2->a1->a0", canonical=False)
-        collapsed = collapse_high_vars(term, 1)
-        found = falsify_search(collapsed)
-        assert found is not None
-        lifted = {v: found.get(min(v, 1), True) for v in distinct_vars(term)}
-        assert evaluate(term, lifted) is False
-
-    def test_tautology_preserved_downward_exhaustive(self):
-        # Collapsing merges variables, and merged instances of tautologies
-        # stay tautologies.
-        for n in range(1, 7):
-            for term in enumerate_canonical(n):
-                if truth_table_tautology(term):
-                    for bound in (0, 1, 2):
-                        assert truth_table_tautology(collapse_high_vars(term, bound))
-
-    def test_negative_bound(self):
-        with pytest.raises(ValueError):
-            collapse_high_vars(parse("a0"), -1)
-
-
 class TestFalsifySearch:
     def test_peirce_none(self):
         assert falsify_search(PEIRCE) is None
@@ -172,7 +138,7 @@ class TestTautologyStatus:
     def test_pipeline_matches_oracle_exhaustive(self):
         for n in range(1, 7):
             for term in enumerate_canonical(n):
-                status = tautology_status(term, 32)
+                status = tautology_status(term)
                 assert status.status != UNKNOWN
                 assert status.is_tautology == truth_table_tautology(term)
                 if status.status == NOT_TAUTOLOGY:
@@ -190,29 +156,95 @@ class TestTautologyStatus:
         assert status.certificate == CERT_VALUATION
         assert evaluate(term, status.witness) is False
 
-    def test_unknown_on_wide_tautology(self):
-        # Simple, hence a tautology, but 6 distinct variables exceed
-        # max_vars=4 and the collapsed search cannot falsify it.
-        term = parse("a5->a4->a3->a2->a1->a0->a0", canonical=False)
-        status = tautology_status(term, max_vars=4)
-        assert status.status == UNKNOWN
-        assert status.reason
-
-    def test_wide_non_tautology_refuted_through_collapse(self):
-        chain = "->".join(f"a{i}" for i in range(9, 1, -1))
-        term = parse(f"(a1->a0)->{chain}->a0", canonical=False)
-        assert not truth_table_tautology(term)
-        status = tautology_status(term, max_vars=4)
-        assert status.status == NOT_TAUTOLOGY
-        assert status.certificate == CERT_VALUATION
-        assert evaluate(term, status.witness) is False
-
     def test_logic_hierarchy_exhaustive(self):
         for n in range(1, 7):
             for term in enumerate_canonical(n):
                 if prove_intuitionistic(term):
                     assert tautology_status(term).is_tautology
 
-    def test_max_vars_validation(self):
-        with pytest.raises(ValueError):
-            tautology_status(parse("a0"), 0)
+
+def pigeonhole(pigeons, holes):
+    """PHP(pigeons, holes) as a tautology, with variable 0 as falsum.
+
+    Pigeon i sits in hole j when variable 1 + i*holes + j holds.  Premises:
+    each pigeon is in some hole, written ~p_i0 -> ... -> ~p_i(h-2) -> p_i(h-1),
+    and no hole holds two pigeons, written p_ij -> p_kj -> falsum.
+    """
+    def p(i, j):
+        return 1 + i * holes + j
+
+    premises = []
+    for i in range(pigeons):
+        clause = p(i, holes - 1)
+        for j in reversed(range(holes - 1)):
+            clause = ((p(i, j), 0), clause)
+        premises.append(clause)
+    for j in range(holes):
+        for i, k in itertools.combinations(range(pigeons), 2):
+            premises.append((p(i, j), (p(k, j), 0)))
+    term = 0
+    for premise in reversed(premises):
+        term = (premise, term)
+    return term
+
+
+WIDE_CHAIN = "->".join(f"a{i}" for i in range(33, 1, -1))
+
+
+class TestCompleteSearch:
+    @pytest.mark.parametrize("text", [WIDE_CHAIN + "->a1->a0->a0",
+                                      WIDE_CHAIN + "->((a0->a1)->a0)->a0"])
+    def test_wide_tautology(self, text):
+        term = parse(text)
+        assert len(distinct_vars(term)) == 34
+        assert tautology_status(term).status == TAUTOLOGY
+
+    def test_wide_non_tautology_witness(self):
+        chain = "->".join(f"a{i}" for i in range(39, 1, -1))
+        term = parse(f"(a1->a0)->{chain}->a0", canonical=False)
+        assert len(distinct_vars(term)) == 40
+        status = tautology_status(term)
+        assert status.status == NOT_TAUTOLOGY
+        assert status.certificate == CERT_VALUATION
+        assert evaluate(term, status.witness) is False
+
+    def test_pigeonhole_within_budget(self):
+        assert tautology_status(pigeonhole(4, 3)).status == TAUTOLOGY
+
+    def test_pigeonhole_exhausts_budget(self):
+        term = pigeonhole(5, 4)
+        assert len(distinct_vars(term)) == 21
+        assert leaf_count(term) == 156
+        status = tautology_status(term)
+        assert status.status == UNKNOWN
+        assert str(SEARCH_BUDGET) in status.reason
+        assert "budget" in status.reason
+
+
+@st.composite
+def terms_up_to_20_vars(draw):
+    """Up to 40 leaves labelled from 20 variables, split at drawn points."""
+    size = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.integers(0, 19), min_size=size, max_size=size))
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return labels[lo]
+        mid = draw(st.integers(lo + 1, hi - 1))
+        return (build(lo, mid), build(mid, hi))
+
+    return build(0, len(labels))
+
+
+@given(terms_up_to_20_vars())
+def test_search_agrees_with_truth_table(term):
+    oracle = truth_table_tautology(term)
+    found = falsify_search(term)
+    assert (found is None) == oracle
+    if found is not None:
+        assert evaluate(term, {v: found.get(v, True) for v in distinct_vars(term)}) is False
+    status = tautology_status(term)
+    assert status.status != UNKNOWN
+    assert status.is_tautology == oracle
+    if status.status == NOT_TAUTOLOGY:
+        assert evaluate(term, status.witness) is False

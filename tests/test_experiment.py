@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from canex import experiment
 from canex.classical import CERT_ANTILOGY, NOT_TAUTOLOGY, TAUTOLOGY
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
@@ -41,8 +42,6 @@ class TestConfig:
             ExperimentConfig(n=0, count=1)
         with pytest.raises(ValueError):
             ExperimentConfig(n=1, count=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(n=1, count=1, max_vars=0)
         with pytest.raises(ValueError):
             ExperimentConfig(n=1, count=1, workers=0)
 
@@ -109,7 +108,7 @@ class TestRunExperiment:
         for line in (tmp_path / "dump.jsonl").read_text().strip().split("\n"):
             record = json.loads(line)
             term = parse(record["expr"])
-            cls = classify(term, cfg.max_vars)
+            cls = classify(term)
             redo = cls.as_record()
             for key, value in redo.items():
                 assert record[key] == value, key
@@ -126,9 +125,8 @@ class TestRunExperiment:
 
 class TestEmitReport:
     def test_csv_written(self, tmp_path):
-        cfg = ExperimentConfig(n=4, count=20, seed=1, out_csv=str(tmp_path / "out.csv"))
-        report = run_experiment(cfg)
-        text = emit_report(report, out_csv=cfg.out_csv)
+        report = run_experiment(ExperimentConfig(n=4, count=20, seed=1))
+        text = emit_report(report, out_csv=str(tmp_path / "out.csv"))
         assert (tmp_path / "out.csv").read_text() == text
         assert text.splitlines()[0] == CSV_COLUMNS
 
@@ -156,3 +154,16 @@ class TestSimpleRateAndTable:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "5" and first[1] == "200" and first[2] == "3"
+
+    def test_rn_table_one_pool_for_all_sizes(self, monkeypatch):
+        opened = []
+
+        class CountingPool(experiment.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        text = rn_table([5, 10, 20], count=150, seed=4, workers=2)
+        assert len(opened) == 1
+        assert text == rn_table([5, 10, 20], count=150, seed=4, workers=1)

@@ -14,7 +14,7 @@ SEEDS = range(12358, 12363)
 
 # CSV text (header and row) for n = 25 then n = 100, each seed in turn,
 # 2000 samples per run, no dump.
-CSV_SHA256 = "a6c330fa5bb14bb4bf23aabbfae1e07764100e0763c53642bc930f2be77bd2cb"
+CSV_SHA256 = "95b6e1b59b30146252c14096d97e4a3195d358c325c53a4416cc8226b5e6b7e0"
 # JSONL dump bytes at n = 25, 300 samples per run, each seed in turn.
 JSONL_SHA256 = "86129ddb5212eda03b7f03cc8fec6ef36427e89524db3d3c186a50e6d33be275"
 

