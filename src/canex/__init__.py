@@ -3,7 +3,7 @@
 from .classical import (NOT_TAUTOLOGY, TAUTOLOGY, UNKNOWN, TautologyStatus,
                         evaluate, falsify_search, is_simple_antilogy,
                         is_simple_non_tautology, tautology_status)
-from .counting import (StamTable, bell, catalan, count_canonical, lambert_root,
+from .counting import (bell, catalan, count_canonical, lambert_root,
                        log10_count_estimate, stam_table)
 from .experiment import (DEFAULT_SEED, Classification, ExperimentConfig,
                          ExperimentReport, classify, emit_report, rn_table,
@@ -15,7 +15,7 @@ from .reference import (all_growth_strings, all_shapes, chi_square,
                         truth_table_tautology)
 from .sampling import (ClassDescription, SplitMix64, random_canonical,
                        random_partition, random_tree, random_tree_vector,
-                       remy_step, stream_for_sample, to_growth_string)
+                       stream_for_sample, to_growth_string)
 from .terms import (CanonicalityError, ParseError, RemyVectorError, Spine, Term,
                     attach_vars, canonical_form, canonicalize,
                     decode_remy_vector, from_json_obj, is_canonical,

@@ -30,9 +30,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    table = counting.stam_table(args.n)
     for index in range(args.count):
-        term = random_canonical(stream_for_sample(args.seed, index), args.n, table)
+        term = random_canonical(stream_for_sample(args.seed, index), args.n)
         if args.format == "json":
             print(json.dumps(terms.to_json_obj(term), separators=(",", ":")))
         else:
@@ -41,14 +40,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        term = terms.parse(args.expr, canonical=not args.canonicalize)
-    except terms.CanonicalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except terms.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    term = terms.parse(args.expr, canonical=not args.canonicalize)
     if args.canonicalize:
         term = terms.canonical_form(term)
     cls = experiment.classify(term)
@@ -70,16 +62,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        stream = reference.enumerate_canonical(args.n)
-        for index, term in enumerate(stream):
-            record = {"index": index, "expr": terms.render(term)}
-            if args.classify:
-                record.update(experiment.classify(term).as_record())
-            print(json.dumps(record, separators=(",", ":")))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for index, term in enumerate(reference.enumerate_canonical(args.n)):
+        record = {"index": index, "expr": terms.render(term)}
+        if args.classify:
+            record.update(experiment.classify(term).as_record())
+        print(json.dumps(record, separators=(",", ":")))
     return 0
 
 

@@ -7,12 +7,9 @@ shapes with one of the bell(n) growth strings, so there are
 
 from __future__ import annotations
 
+import decimal
 import math
-import threading
-from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 
 def catalan(n: int) -> int:
@@ -21,23 +18,17 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-_bell_lock = threading.Lock()
-_bell_values = [1, 1]  # index n holds the n-th Bell number
-_bell_row = [1]        # latest Bell-triangle row, grown on demand
-
-
 def bell(n: int) -> int:
+    """The n-th Bell number, exact, from the Bell triangle."""
     if n < 0:
         raise ValueError("bell is defined for n >= 0")
-    with _bell_lock:
-        while len(_bell_values) <= n:
-            row = _bell_row
-            new = [row[-1]]
-            for x in row:
-                new.append(new[-1] + x)
-            _bell_row[:] = new
-            _bell_values.append(new[-1])
-        return _bell_values[n]
+    row = [1]
+    for _ in range(n):
+        new = [row[-1]]
+        for x in row:
+            new.append(new[-1] + x)
+        row = new
+    return row[0]
 
 
 def count_canonical(n: int) -> int:
@@ -89,48 +80,45 @@ def log10_count_estimate(n: int) -> float:
 
 
 _TAIL_EPSILON = 1e-12
-
-
-@dataclass(frozen=True)
-class StamTable:
-    """Class-count distribution for uniform set partitions of ``n`` elements.
-
-    ``probs[m-1]`` is the probability that a uniform partition has exactly
-    ``m`` classes, ``m^n / (e * m! * bell(n))``; the table is truncated once
-    the cumulative mass exceeds ``1 - 1e-12``.
-    """
-
-    n: int
-    probs: tuple[float, ...]
-    cumulative: tuple[float, ...]
-
-    @property
-    def m_max(self) -> int:
-        return len(self.probs)
-
-    def class_count(self, u: float) -> int:
-        """Invert the cumulative table at ``u`` in [0, 1); clamps to m_max."""
-        m = bisect_right(self.cumulative, u) + 1
-        return m if m <= self.m_max else self.m_max
+# The weights stop once one is this far below the largest: each one left
+# out is under e^-80 of the sum, far below a float's precision.
+_WEIGHT_CUT = 80
+# Every Decimal operation goes through this context, never the caller's.
+_DECIMAL = decimal.Context(prec=40)
 
 
 @lru_cache(maxsize=None)
-def stam_table(n: int) -> StamTable:
+def stam_table(n: int) -> tuple[float, ...]:
+    """Cumulative class-count distribution of a uniform partition of ``n``.
+
+    Entry ``m-1`` is the running float sum of the probabilities
+    ``m^n / (e * m! * bell(n))`` that a uniform set partition has exactly
+    ``m`` classes (Stam's urn); the table ends once it reaches
+    ``1 - 1e-12``.  By Dobinski's formula ``e * bell(n)`` is the sum of the
+    weights ``m^n / m!``, so no Bell number is needed: the weights are
+    summed as logarithms in 40-digit decimals, and each probability is
+    rounded to a float exactly as ``m^n / (m! * bell(n))`` rounds, then
+    divided by ``math.e``.
+    """
     if n < 1:
         raise ValueError("partition tables need n >= 1")
-    bell_n = bell(n)
-    probs: list[float] = []
+    ctx = _DECIMAL
+    log_fact = top = decimal.Decimal(0)
+    log_weights = [top]  # ln(m^n / m!) for m = 1, 2, ...
+    # The log weights rise to one peak and then fall; comparisons are exact.
+    while log_weights[-1] >= ctx.subtract(top, _WEIGHT_CUT):
+        log_m = ctx.ln(len(log_weights) + 1)
+        log_fact = ctx.add(log_fact, log_m)
+        log_weights.append(ctx.subtract(ctx.multiply(n, log_m), log_fact))
+        top = ctx.max(top, log_weights[-1])
+    scaled = [ctx.exp(ctx.subtract(w, top)) for w in log_weights]
+    total_scaled = reduce(ctx.add, scaled)
+    e = ctx.exp(1)
     cumulative: list[float] = []
     total = 0.0
-    m = 0
-    cap = 8 * n + 64
-    while total < 1.0 - _TAIL_EPSILON:
-        m += 1
-        if m > cap:
-            raise RuntimeError(f"class-count table for n={n} failed to converge")
-        # Exact rational, correctly rounded to float, then one division by e.
-        p = float(Fraction(m ** n, math.factorial(m) * bell_n)) / math.e
-        total += p
-        probs.append(p)
+    for x in scaled:
+        total += float(ctx.divide(ctx.multiply(e, x), total_scaled)) / math.e
         cumulative.append(total)
-    return StamTable(n=n, probs=tuple(probs), cumulative=tuple(cumulative))
+        if total >= 1.0 - _TAIL_EPSILON:
+            return tuple(cumulative)
+    raise RuntimeError(f"class-count table for n={n} failed to converge")

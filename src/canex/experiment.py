@@ -18,7 +18,6 @@ from typing import Optional
 from .classical import TAUTOLOGY, UNKNOWN, CERT_ANTILOGY, \
     TautologyStatus, is_simple_antilogy, is_simple_non_tautology, \
     tautology_status
-from .counting import stam_table
 from .intuition import IntuitVerdict, cheap_verdict, clean, is_simple
 from .sampling import random_canonical, stream_for_sample
 from .terms import Term, render
@@ -127,11 +126,10 @@ class ExperimentReport:
 
 def _classify_chunk(args) -> tuple[dict, list]:
     n, seed, lo, hi, dump = args
-    table = stam_table(n)
     counts = dict.fromkeys(_COUNT_FIELDS, 0)
     records = []
     for index in range(lo, hi):
-        term = random_canonical(stream_for_sample(seed, index), n, table)
+        term = random_canonical(stream_for_sample(seed, index), n)
         if not dump and is_simple_antilogy(term):
             # Settled without clean, which only the dump's cleanedSize needs.
             # Cleaning keeps every goal and every bare-variable premise, so a
@@ -169,13 +167,7 @@ def _chunks(n: int, seed: int, count: int, workers: int, *extra) -> list[tuple]:
 
 
 def _map_chunks(chunk_fn, chunks: list[tuple], workers: int) -> list:
-    """``chunk_fn`` over ``chunks``, whose first item is the size ``n``.
-
-    Runs in this process for one worker, else on one process pool.  The
-    partition tables are built first, so forked workers inherit them cached.
-    """
-    for n in {chunk[0] for chunk in chunks}:
-        stam_table(n)
+    """``chunk_fn`` over ``chunks``; in this process for one worker, else on one pool."""
     if workers == 1:
         return [chunk_fn(c) for c in chunks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -220,10 +212,9 @@ def emit_report(report: ExperimentReport, out_csv: Optional[str] = None,
 
 def _simple_rate_chunk(args) -> int:
     n, seed, lo, hi = args
-    table = stam_table(n)
     hits = 0
     for index in range(lo, hi):
-        term = random_canonical(stream_for_sample(seed, index), n, table)
+        term = random_canonical(stream_for_sample(seed, index), n)
         hits += is_simple(term)
     return hits
 

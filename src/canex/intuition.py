@@ -37,30 +37,38 @@ def is_easy(term: Term) -> bool:
     return is_simple(term) or is_mp(term)
 
 
-def _clean_pass(term: Term) -> Term:
-    if isinstance(term, int):
-        return term
-    left = _clean_pass(term[0])
-    right = _clean_pass(term[1])
-    if is_easy(left):
-        return right
-    if left is term[0] and right is term[1]:
-        return term
-    return (left, right)
-
-
 def clean(term: Term) -> Term:
     """Drop easy premises bottom-up, in one pass.
 
     One bottom-up pass already reaches the fixpoint, by induction on the
     term: a pass returns either the pass of the right child, a fixpoint by
     induction, or a node whose children are fixpoints and whose left child is
-    not easy, which a second pass would return unchanged.
+    not easy, which a second pass would return unchanged.  The walk keeps its
+    own stack, so depth is bounded only by memory, and it returns ``term``
+    itself when nothing is dropped.
 
     The result proves intuitionistically iff the input does, and it evaluates
     identically under every boolean valuation (dropped premises are theorems).
     """
-    return _clean_pass(term)
+    done: list = []
+    work = [term]
+    while work:
+        node = work.pop()
+        if node is None:  # both children are cleaned: join them
+            node = work.pop()
+            right = done.pop()
+            left = done.pop()
+            if isinstance(left, tuple) and is_easy(left):
+                done.append(right)
+            elif left is node[0] and right is node[1]:
+                done.append(node)
+            else:
+                done.append((left, right))
+        elif isinstance(node, int):
+            done.append(node)
+        else:
+            work += (node, None, node[1], node[0])
+    return done[0]
 
 
 def is_minor(term: Term) -> bool:

@@ -1,7 +1,7 @@
 """Seeded uniform samplers: binary trees, set partitions, canonical expressions.
 
 Trees are grown by random node insertion on a flat vector (one slot per node
-label), partitions by drawing a class count from the exact table and then
+label), partitions by drawing a class count from Stam's distribution and then
 labeling elements independently.  All randomness flows through SplitMix64
 streams so that a (seed, sample index) pair pins down the sample on every
 platform; ``stream_for_sample`` is the documented derivation.
@@ -9,10 +9,10 @@ platform; ``stream_for_sample`` is the documented derivation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
 
-from .counting import StamTable
+from .counting import stam_table
 from .terms import (Shape, Term, canonicalize, decode_labelled_vector,
                     decode_remy_vector, shape_of)
 # Not called here; perfbench's tracer times sampling.attach_vars, so the
@@ -68,39 +68,15 @@ def stream_for_sample(seed: int, index: int) -> SplitMix64:
     return SplitMix64(mix64((seed + (index + 1) * _GAMMA) & _MASK64))
 
 
-def remy_step(vector: Sequence[int], n: int, x: int) -> list[int]:
-    """One node insertion, growing a tree vector from n-1 to n leaves.
-
-    ``x`` ranges over [0, 4(n-1) - 3]: its half picks the slot whose subtree
-    gets a new internal node (labeled 2n-3) above it, and its parity picks the
-    side of the new leaf (labeled 2n-2) - even hangs the old subtree on the
-    left and the new leaf on the right, odd the other way around.
-    """
-    size = n - 1  # leaves before insertion
-    if size < 1:
-        raise ValueError("the vector must already encode at least one leaf")
-    if len(vector) != 2 * size - 1:
-        raise ValueError(
-            f"expected {2 * size - 1} entries for {size} leaves, got {len(vector)}")
-    if not 0 <= x <= 4 * size - 3:
-        raise ValueError(f"insertion draw {x} out of range 0..{4 * size - 3}")
-    out = list(vector)
-    k = x >> 1
-    old = out[k]
-    node = 2 * size - 1
-    leaf = 2 * size
-    out[k] = node
-    if x & 1:
-        out.append(leaf)
-        out.append(old)
-    else:
-        out.append(old)
-        out.append(leaf)
-    return out
-
-
 def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
-    """Insertion vector of a uniform n-leaf tree; exactly n-1 draws."""
+    """Insertion vector of a uniform n-leaf tree; exactly n-1 draws.
+
+    Growing from ``size`` leaves, the draw x in [0, 4*size - 2) picks with
+    its half the slot whose subtree gets a new internal node (labeled
+    2*size - 1) above it, and with its parity the side of the new leaf
+    (labeled 2*size): even hangs the old subtree on the left and the new
+    leaf on the right, odd the other way around.
+    """
     if n < 1:
         raise ValueError("trees have at least one leaf")
     v = [0] * (2 * n - 1)
@@ -131,10 +107,15 @@ class ClassDescription:
     num_classes: int
 
 
-def random_partition(rng: SplitMix64, table: StamTable) -> ClassDescription:
-    """Uniform set partition of ``table.n`` elements, as a class description."""
-    m = table.class_count(rng.random())
-    labels = tuple(rng.below(m) for _ in range(table.n))
+def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
+    """Uniform set partition of ``n`` elements, as a class description.
+
+    Stam's urn: a class count m from ``stam_table(n)`` (clamped to the
+    table's length), then an independent label in [0, m) for each element.
+    """
+    table = stam_table(n)
+    m = min(bisect_right(table, rng.random()) + 1, len(table))
+    labels = tuple(rng.below(m) for _ in range(n))
     return ClassDescription(labels=labels, num_classes=m)
 
 
@@ -143,10 +124,8 @@ def to_growth_string(description: ClassDescription) -> tuple[int, ...]:
     return canonicalize(description.labels)
 
 
-def random_canonical(rng: SplitMix64, n: int, table: StamTable) -> Term:
+def random_canonical(rng: SplitMix64, n: int) -> Term:
     """Uniform canonical expression with n leaves: tree draw, then naming draw."""
-    if table.n != n:
-        raise ValueError(f"partition table built for n={table.n}, not n={n}")
     vector = random_tree_vector(rng, n)
-    growth = to_growth_string(random_partition(rng, table))
+    growth = to_growth_string(random_partition(rng, n))
     return decode_labelled_vector(vector, growth)

@@ -16,7 +16,7 @@ import pytest
 
 from canex.classical import (antilogy_valuation, evaluate, falsify_search,
                              is_simple_antilogy)
-from canex.counting import count_canonical, log10_count_estimate, stam_table
+from canex.counting import count_canonical, log10_count_estimate
 from canex.experiment import (DEFAULT_SEED, ExperimentConfig, run_experiment,
                               simple_rate)
 from canex.intuition import cheap_verdict
@@ -229,9 +229,8 @@ def test_criterion_6_soundness_exhaustive_and_sampled():
             break
     exhaustive_elapsed = time.perf_counter() - started
     clear_prover_cache()
-    table = stam_table(25)
     for index in range(10000):
-        term = random_canonical(stream_for_sample(DEFAULT_SEED, index), 25, table)
+        term = random_canonical(stream_for_sample(DEFAULT_SEED, index), 25)
         violations.extend(_soundness_violations(term))
         if violations:
             break
@@ -257,10 +256,9 @@ def test_criterion_7_tree_uniformity():
 
 def test_criterion_7_partition_uniformity():
     draws = 75000
-    table = stam_table(4)
     bins = {}
     for i in range(draws):
-        key = to_growth_string(random_partition(stream_for_sample(DEFAULT_SEED, i), table))
+        key = to_growth_string(random_partition(stream_for_sample(DEFAULT_SEED, i), 4))
         bins[key] = bins.get(key, 0) + 1
     assert len(bins) == 15
     stat = chi_square(list(bins.values()), [draws / 15] * 15)
@@ -270,11 +268,10 @@ def test_criterion_7_partition_uniformity():
 
 def test_criterion_7_joint_uniformity():
     draws = 100000
-    table = stam_table(3)
     population = list(enumerate_canonical(3))
     bins = {term: 0 for term in population}
     for i in range(draws):
-        bins[random_canonical(stream_for_sample(DEFAULT_SEED, i), 3, table)] += 1
+        bins[random_canonical(stream_for_sample(DEFAULT_SEED, i), 3)] += 1
     stat = chi_square(list(bins.values()), [draws / 10] * 10)
     check("7 joint expressions n=3 (100000 draws)", stat < CHI2_001[9],
           f"chi2 {stat:.2f} < {CHI2_001[9]}")

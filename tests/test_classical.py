@@ -8,7 +8,6 @@ from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              antilogy_valuation, evaluate, falsify_search,
                              is_simple_antilogy, is_simple_non_tautology,
                              tautology_status)
-from canex.counting import stam_table
 from canex.intuition import clean
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
@@ -71,10 +70,9 @@ class TestAntilogyWitness:
     def test_raw_valuation_equals_cleaned_one_filled(self, n):
         # The witness is the raw term's antilogy valuation; it must equal the
         # cleaned term's valuation filled with True on the dropped variables.
-        table = stam_table(n)
         antilogies = 0
         for i in range(300):
-            term = random_canonical(stream_for_sample(12358, i), n, table)
+            term = random_canonical(stream_for_sample(12358, i), n)
             status = tautology_status(term)
             if status.certificate != CERT_ANTILOGY:
                 continue

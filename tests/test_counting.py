@@ -1,10 +1,13 @@
+import decimal
 import math
+from fractions import Fraction
 
 import pytest
 
-from canex.counting import (StamTable, bell, catalan, count_canonical,
-                            lambert_root, log10_count_estimate, stam_table)
+from canex.counting import (bell, catalan, count_canonical, lambert_root,
+                            log10_count_estimate, stam_table)
 from canex.reference import all_growth_strings, all_shapes
+from canex.sampling import SplitMix64, random_partition
 
 FIRST_COUNTS = [1, 2, 10, 75, 728, 8526, 115764, 1776060, 30240210]
 
@@ -143,35 +146,79 @@ class TestLog10Estimate:
             log10_count_estimate(1)
 
 
+def exact_stam_table(n):
+    """The class-count table from exact rationals: the reference for stam_table.
+
+    Each probability m^n / (m! * bell(n)) is rounded once to a float and then
+    divided by e; the running float sum stops at 1 - 1e-12.
+    """
+    bell_n = bell(n)
+    cumulative = []
+    total = 0.0
+    m = 0
+    while total < 1.0 - 1e-12:
+        m += 1
+        total += float(Fraction(m ** n, math.factorial(m) * bell_n)) / math.e
+        cumulative.append(total)
+    return tuple(cumulative)
+
+
+class _ScriptedUnit(SplitMix64):
+    """Returns ``u`` from every ``random()`` call."""
+
+    def __init__(self, u):
+        super().__init__(0)
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 class TestStamTable:
+    @pytest.mark.parametrize("n", list(range(1, 61)) + [100, 300, 1000])
+    def test_equals_exact_rational_table(self, n):
+        assert stam_table(n) == exact_stam_table(n)
+
+    def test_ignores_the_callers_decimal_context(self):
+        stam_table.cache_clear()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 6
+            table = stam_table(50)
+        assert table == exact_stam_table(50)
+
     def test_single_element_first_probability(self):
-        table = stam_table(1)
-        assert abs(table.probs[0] - math.exp(-1)) < 1e-15
+        assert abs(stam_table(1)[0] - math.exp(-1)) < 1e-15
 
     def test_masses_sum_to_one(self):
         # The class-count probabilities sum to 1 analytically; the float table
         # reproduces that within 1e-9 even though it is truncated at 1e-12.
         for n in (1, 2, 5, 10, 100, 1000):
             table = stam_table(n)
-            assert abs(sum(table.probs) - 1.0) < 1e-9
+            masses = [b - a for a, b in zip((0.0,) + table, table)]
+            assert abs(math.fsum(masses) - 1.0) < 1e-9
 
     def test_cumulative_monotone_and_complete(self):
         for n in (1, 4, 10, 100, 1000):
             table = stam_table(n)
-            assert all(b >= a for a, b in zip(table.cumulative, table.cumulative[1:]))
-            assert 1 - 1e-12 <= table.cumulative[-1] <= 1 + 1e-12
+            assert all(b >= a for a, b in zip(table, table[1:]))
+            assert 1 - 1e-12 <= table[-1] <= 1 + 1e-12
+
+    def test_large_n(self):
+        # Far beyond any exact Bell number the table is still built.
+        table = stam_table(100000)
+        assert all(b >= a for a, b in zip(table, table[1:]))
+        assert table[-1] >= 1 - 1e-12
 
     def test_class_count_inversion(self):
         table = stam_table(10)
-        assert table.class_count(0.0) == 1
-        assert table.class_count(table.cumulative[0]) == 2
-        assert table.class_count(0.9999999999999999) == table.m_max
-        probable = max(range(table.m_max), key=lambda i: table.probs[i]) + 1
-        assert 1 <= probable <= table.m_max
+        assert random_partition(_ScriptedUnit(0.0), 10).num_classes == 1
+        assert random_partition(_ScriptedUnit(table[0]), 10).num_classes == 2
+        clamped = random_partition(_ScriptedUnit(0.9999999999999999), 10)
+        assert clamped.num_classes == len(table)
 
     def test_probabilities_in_unit_interval(self):
         table = stam_table(100)
-        assert all(0.0 <= p <= 1.0 for p in table.probs)
+        assert all(0.0 <= b - a <= 1.0 for a, b in zip((0.0,) + table, table))
 
     def test_memoized(self):
         assert stam_table(7) is stam_table(7)
@@ -179,9 +226,3 @@ class TestStamTable:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             stam_table(0)
-
-    def test_frozen(self):
-        table = stam_table(3)
-        with pytest.raises(Exception):
-            table.n = 5  # type: ignore[misc]
-        assert isinstance(table, StamTable)

@@ -7,7 +7,15 @@ from canex.classical import CERT_ANTILOGY, NOT_TAUTOLOGY, TAUTOLOGY
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
                               simple_rate)
-from canex.terms import parse
+from canex.terms import parse, render
+
+
+def left_chain(depth: int, start: int = 1, skip: int = 0):
+    """``((start -> x) -> x') -> ...``, the goals alternating and ending in a0."""
+    term = start
+    for i in range(skip, depth):
+        term = (term, (depth - 1 - i) % 2)
+    return term
 
 
 class TestClassify:
@@ -34,6 +42,24 @@ class TestClassify:
         assert {"simple", "mp", "easy", "minorAfterClean", "cheap",
                 "cleanedSize", "status", "certificate",
                 "gkzSimpleNonTaut"} <= set(record)
+
+
+class TestDeepInput:
+    def test_left_chain_ten_thousand_deep(self):
+        # Compared as text: tuple equality at this depth raises
+        # RecursionError inside the interpreter.
+        depth = 10 ** 4
+        text = render(left_chain(depth))
+        term = parse(text)
+        assert render(term) == text
+        cls = classify(term)
+        assert cls.taut.status == NOT_TAUTOLOGY
+        assert cls.taut.certificate == CERT_ANTILOGY
+        assert cls.taut.witness == {0: False, 1: True}
+        # The innermost premise a1 -> a1 is simple, so clean drops it: the
+        # chain then starts from its conclusion a0.
+        assert render(cls.verdict.cleaned) == render(left_chain(depth, start=0, skip=2))
+        assert cls.verdict.cleaned_size == depth - 1
 
 
 class TestConfig:

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from canex.counting import stam_table
 from canex.intuition import (cheap_verdict, clean, is_cheap, is_easy, is_minor,
                              is_mp, is_simple)
 from canex.reference import enumerate_canonical, prove_intuitionistic
@@ -86,7 +85,7 @@ class TestClean:
 
     def test_idempotent_and_never_grows(self):
         # clean is a single pass, so idempotence is the fixpoint claim.
-        sampled = [random_canonical(stream_for_sample(9, i), n, stam_table(n))
+        sampled = [random_canonical(stream_for_sample(9, i), n)
                    for n in (100, 300) for i in range(300)]
         exhaustive = (t for n in range(1, 7) for t in enumerate_canonical(n))
         for term in itertools.chain(exhaustive, sampled):

@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
-from canex.counting import bell, count_canonical, stam_table
+from canex.counting import bell, count_canonical
 from canex.reference import all_shapes, chi_square, enumerate_canonical
 from canex.sampling import (ClassDescription, SplitMix64, mix64,
                             random_canonical, random_partition, random_tree,
-                            random_tree_vector, remy_step, stream_for_sample,
+                            random_tree_vector, stream_for_sample,
                             to_growth_string)
 from canex.terms import (attach_vars, canonicalize, decode_remy_vector,
                          is_valid_growth_string, leaf_count, leaf_vars, render,
@@ -51,37 +51,43 @@ class TestSplitMix64:
         assert [derived.next_u64() for _ in range(5)] == [expected.next_u64() for _ in range(5)]
 
 
+class _ScriptedDraws(SplitMix64):
+    """Answers ``below`` from a fixed list of draws, checking each bound."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def below(self, bound):
+        x = self.draws.pop(0)
+        assert 0 <= x < bound
+        return x
+
+
 class TestRemyStep:
+    """Worked node insertions, replayed through random_tree_vector."""
+
+    GROWTH = [1, 2, 9, 13, 11, 19, 3, 27]  # builds SECOND_TABLE (9 leaves)
+
+    def test_worked_insertions_build_the_second_table(self):
+        assert random_tree_vector(_ScriptedDraws(self.GROWTH), 9) == SECOND_TABLE
+
     def test_worked_insertion_odd(self):
-        assert remy_step(SECOND_TABLE, 10, 21) == FIRST_TABLE
+        assert random_tree_vector(_ScriptedDraws(self.GROWTH + [21]), 10) == FIRST_TABLE
 
     def test_worked_insertion_even(self):
-        out = remy_step(SECOND_TABLE, 10, 8)
+        out = random_tree_vector(_ScriptedDraws(self.GROWTH + [8]), 10)
         assert out[4] == 17
         assert out[17] == 5
         assert out[18] == 18
 
     def test_base_case_even(self):
-        assert remy_step([0], 2, 0) == [1, 0, 2]
+        assert random_tree_vector(_ScriptedDraws([0]), 2) == [1, 0, 2]
         tree = decode_remy_vector([1, 0, 2], 2)
         assert shape_of(tree) == (None, None)
 
     def test_base_case_odd(self):
-        assert remy_step([0], 2, 1) == [1, 2, 0]
-
-    def test_draw_out_of_range(self):
-        with pytest.raises(ValueError):
-            remy_step([0], 2, 2)
-        with pytest.raises(ValueError):
-            remy_step(SECOND_TABLE, 10, 34)
-        with pytest.raises(ValueError):
-            remy_step(SECOND_TABLE, 10, -1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            remy_step([0, 1, 2], 4, 0)
-        with pytest.raises(ValueError):
-            remy_step([0, 0], 2, 0)
+        assert random_tree_vector(_ScriptedDraws([1]), 2) == [1, 2, 0]
 
 
 class _CountingRng(SplitMix64):
@@ -95,15 +101,6 @@ class _CountingRng(SplitMix64):
 
 
 class TestRandomTree:
-    def test_matches_iterated_single_steps(self):
-        for seed in (1, 99, 2024):
-            rng = SplitMix64(seed)
-            draws = [rng.below(4 * size - 2) for size in range(1, 8)]
-            vector = [0]
-            for size, x in enumerate(draws, start=2):
-                vector = remy_step(vector, size, x)
-            assert random_tree_vector(SplitMix64(seed), 8) == vector
-
     def test_single_leaf(self):
         assert random_tree(SplitMix64(5), 1) is None
         assert random_tree_vector(SplitMix64(5), 1) == [0]
@@ -151,9 +148,8 @@ class TestRandomTree:
 
 class TestRandomPartition:
     def test_single_element(self):
-        table = stam_table(1)
         for i in range(50):
-            d = random_partition(stream_for_sample(9, i), table)
+            d = random_partition(stream_for_sample(9, i), 1)
             assert to_growth_string(d) == (0,)
 
     def test_kernel_invariance(self):
@@ -168,28 +164,25 @@ class TestRandomPartition:
         assert to_growth_string(ClassDescription((0, 1), 2)) == (1, 0)
 
     def test_labels_within_range(self):
-        table = stam_table(12)
         for i in range(200):
-            d = random_partition(stream_for_sample(17, i), table)
+            d = random_partition(stream_for_sample(17, i), 12)
             assert len(d.labels) == 12
             assert all(0 <= x < d.num_classes for x in d.labels)
 
     def test_uniform_partitions_n4(self):
-        table = stam_table(4)
         draws = 75000
         bins = Counter()
         for i in range(draws):
-            bins[to_growth_string(random_partition(stream_for_sample(12358, i), table))] += 1
+            bins[to_growth_string(random_partition(stream_for_sample(12358, i), 4))] += 1
         assert len(bins) == bell(4) == 15
         stat = chi_square(list(bins.values()), [draws / 15] * 15)
         assert stat < CHI2_CRIT[14]
 
     def test_uniform_partitions_n3(self):
-        table = stam_table(3)
         draws = 30000
         bins = Counter()
         for i in range(draws):
-            bins[to_growth_string(random_partition(stream_for_sample(4, i), table))] += 1
+            bins[to_growth_string(random_partition(stream_for_sample(4, i), 3))] += 1
         assert len(bins) == 5
         stat = chi_square(list(bins.values()), [draws / 5] * 5)
         assert stat < CHI2_CRIT[4]
@@ -197,43 +190,36 @@ class TestRandomPartition:
 
 class TestRandomCanonical:
     def test_single_leaf(self):
-        assert random_canonical(stream_for_sample(1, 0), 1, stam_table(1)) == 0
-        assert render(random_canonical(stream_for_sample(1, 1), 1, stam_table(1))) == "a0"
+        assert random_canonical(stream_for_sample(1, 0), 1) == 0
+        assert render(random_canonical(stream_for_sample(1, 1), 1)) == "a0"
 
     def test_structure_at_hundred(self):
-        term = random_canonical(stream_for_sample(12358, 0), 100, stam_table(100))
+        term = random_canonical(stream_for_sample(12358, 0), 100)
         assert leaf_count(term) == 100
         assert is_valid_growth_string(leaf_vars(term))
-
-    def test_table_size_mismatch(self):
-        with pytest.raises(ValueError):
-            random_canonical(SplitMix64(0), 5, stam_table(6))
 
     @pytest.mark.parametrize("n", [1, 2, 10, 100])
     def test_one_walk_build_matches_reference_path(self, n):
         # random_canonical builds in one walk; the reference decodes the
         # vector, forgets the leaf labels and attaches the growth string.
-        table = stam_table(n)
         for i in range(500):
             fast, slow = stream_for_sample(31, i), stream_for_sample(31, i)
             shape = shape_of(decode_remy_vector(random_tree_vector(slow, n), n))
-            growth = to_growth_string(random_partition(slow, table))
-            assert random_canonical(fast, n, table) == attach_vars(shape, growth)
+            growth = to_growth_string(random_partition(slow, n))
+            assert random_canonical(fast, n) == attach_vars(shape, growth)
             assert fast.next_u64() == slow.next_u64()
 
     def test_deterministic_and_order_independent(self):
-        table = stam_table(9)
-        forward = [random_canonical(stream_for_sample(77, i), 9, table) for i in range(10)]
-        backward = [random_canonical(stream_for_sample(77, i), 9, table)
+        forward = [random_canonical(stream_for_sample(77, i), 9) for i in range(10)]
+        backward = [random_canonical(stream_for_sample(77, i), 9)
                     for i in reversed(range(10))]
         assert forward == list(reversed(backward))
 
     def test_uniform_joint_n3(self):
-        table = stam_table(3)
         draws = 100000
         bins = Counter()
         for i in range(draws):
-            bins[random_canonical(stream_for_sample(12358, i), 3, table)] += 1
+            bins[random_canonical(stream_for_sample(12358, i), 3)] += 1
         population = list(enumerate_canonical(3))
         assert len(population) == count_canonical(3) == 10
         stat = chi_square([bins[t] for t in population], [draws / 10] * 10)
@@ -243,9 +229,8 @@ class TestRandomCanonical:
         # Ground-truth cross-check of the joint sampler at a size far beyond
         # the chi-square bins: the exact simple rate at n=8 is 323519/1776060.
         from canex.intuition import is_simple
-        table = stam_table(8)
         draws = 60000
-        hits = sum(is_simple(random_canonical(stream_for_sample(424242, i), 8, table))
+        hits = sum(is_simple(random_canonical(stream_for_sample(424242, i), 8))
                    for i in range(draws))
         exact = 323519 / 1776060
         sigma = math.sqrt(exact * (1 - exact) / draws)
