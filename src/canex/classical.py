@@ -26,7 +26,7 @@ UNKNOWN = "unknown"
 CERT_ANTILOGY = "antilogy"
 CERT_VALUATION = "valuation"
 
-# Choice points (calls to falsify_search's attempt) before a search gives up.
+# Choice points (frames falsify_search pops) before a search gives up.
 # Sampled terms need a few thousand at most (n=100); a pigeonhole tautology
 # PHP(4,3) needs about 131 thousand, so this bounds the worst case at seconds.
 SEARCH_BUDGET = 1 << 20
@@ -37,15 +37,25 @@ class SearchBudgetExceeded(Exception):
 
 
 def evaluate(term: Term, valuation: Mapping[int, bool]) -> bool:
-    """Boolean value of ``term`` under a total assignment."""
-    if isinstance(term, int):
-        try:
-            return bool(valuation[term])
-        except KeyError:
-            raise ValueError(f"valuation is missing variable a{term}") from None
-    left = evaluate(term[0], valuation)
-    right = evaluate(term[1], valuation)
-    return right or not left
+    """Boolean value of ``term`` under a total assignment.
+
+    A post-order walk with its own stack, so depth is bounded only by memory.
+    """
+    done: list[bool] = []
+    work = [term]
+    while work:
+        node = work.pop()
+        if node is None:  # both children are evaluated: join them
+            right = done.pop()
+            done[-1] = right or not done[-1]
+        elif isinstance(node, int):
+            try:
+                done.append(bool(valuation[node]))
+            except KeyError:
+                raise ValueError(f"valuation is missing variable a{node}") from None
+        else:
+            work += (None, node[1], node[0])
+    return done[0]
 
 
 def is_simple_antilogy(term: Term) -> bool:
@@ -89,20 +99,26 @@ def falsify_search(term: Term) -> Optional[dict[int, bool]]:
     partial; unmentioned variables are free.  Agrees exactly with full
     truth-table enumeration.  Raises ``SearchBudgetExceeded`` once
     ``SEARCH_BUDGET`` choice points have been tried without a decision.
+
+    One loop over choice points, depth first, with its own stack: a frame
+    ``(deferred, sign, node, mark)`` requires ``node`` to take ``sign`` on
+    top of the implications ``deferred`` still required true.  Every
+    assignment goes on one trail; popping a frame first undoes the trail
+    back to ``mark``, its length when the frame was pushed.
     """
     rho: dict[int, bool] = {}
+    trail: list[int] = []
+    frames: list[tuple] = [([], False, term, 0)]
     calls = 0
-
-    def attempt(pending: list) -> bool:
-        # On success rho holds a consistent extension; on failure it is
-        # restored to its state at entry.
-        nonlocal calls
+    while frames:
+        deferred, sign, node, mark = frames.pop()
+        while len(trail) > mark:
+            del rho[trail.pop()]
         calls += 1
         if calls > SEARCH_BUDGET:
             raise SearchBudgetExceeded
-        trail: list[int] = []
-        stack = list(pending)
-        deferred = []
+        new = []
+        stack = [(sign, node)]
         while stack:
             sign, node = stack.pop()
             if isinstance(node, int):
@@ -111,28 +127,22 @@ def falsify_search(term: Term) -> Optional[dict[int, bool]]:
                     rho[node] = sign
                     trail.append(node)
                 elif known is not sign:
-                    for v in trail:
-                        del rho[v]
-                    return False
+                    break  # conflict: the next frame undoes this one
             elif sign:
-                deferred.append(node)
+                new.append(node)
             else:
                 stack.append((True, node[0]))
                 stack.append((False, node[1]))
-        if deferred:
-            first, rest = deferred[0], deferred[1:]
-            rest_true = [(True, node) for node in rest]
-            if attempt(rest_true + [(True, first[1])]):
-                return True
-            if attempt(rest_true + [(False, first[0])]):
-                return True
-            for v in trail:
-                del rho[v]
-            return False
-        return True
-
-    if attempt([(False, term)]):
-        return dict(rho)
+        else:
+            # New requirements first, then the inherited ones reversed: the
+            # order in which the depth-first tableau meets them.
+            pending = new + deferred[::-1]
+            if not pending:
+                return dict(rho)
+            first, rest = pending[0], pending[1:]
+            mark = len(trail)
+            frames.append((rest, False, first[0], mark))
+            frames.append((rest, True, first[1], mark))
     return None
 
 

@@ -78,18 +78,12 @@ def is_minor(term: Term) -> bool:
     t_{k+1} = g; the term is minor when p_i == t_m for some i < m.  Taking
     t_{k+1} recovers the simple case, so simple implies minor.
     """
-    premises, goal = spine(term)
-    k = len(premises)
-    tail: Term = goal
-    tails = [None] * (k + 2)
-    tails[k + 1] = tail
-    for m in range(k, 0, -1):
-        tail = (premises[m - 1], tail)
-        tails[m] = tail
     seen = set()
-    for m in range(2, k + 2):
-        seen.add(premises[m - 2])
-        if tails[m] in seen:
+    node = term
+    while isinstance(node, tuple):
+        seen.add(node[0])
+        node = node[1]
+        if node in seen:
             return True
     return False
 
@@ -125,7 +119,8 @@ def cheap_verdict(term: Term, cleaned: Term | None = None) -> IntuitVerdict:
     mp = is_mp(term)
     easy = simple or mp
     minor_after = is_minor(cleaned)
-    cheap = is_easy(cleaned) or minor_after
+    # Simple implies minor, so of easy only mp is left to test.
+    cheap = minor_after or is_mp(cleaned)
     return IntuitVerdict(
         simple=simple,
         mp=mp,

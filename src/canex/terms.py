@@ -75,16 +75,7 @@ def leaf_vars(term: Term) -> list[int]:
 
 
 def leaf_count(term: Term) -> int:
-    count = 0
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            stack.append(node[1])
-            stack.append(node[0])
-        else:
-            count += 1
-    return count
+    return len(leaf_vars(term))
 
 
 def distinct_vars(term: Term) -> set[int]:
@@ -93,8 +84,18 @@ def distinct_vars(term: Term) -> set[int]:
 
 def shape_of(term: Term) -> Shape:
     """Forget the leaf labels."""
+    return attach_vars(term, [None] * leaf_count(term))
+
+
+def attach_vars(shape: Shape, labels: Sequence) -> Term:
+    """Label the leaves of ``shape`` with ``labels``, left to right.
+
+    Any non-tuple is a leaf, so ``shape`` may be a term: its labels are
+    replaced.
+    """
+    it = iter(labels)
     done = []
-    work = [(term, False)]
+    work = [(shape, False)]
     while work:
         node, expanded = work.pop()
         if expanded:
@@ -106,30 +107,10 @@ def shape_of(term: Term) -> Shape:
             work.append((node[1], False))
             work.append((node[0], False))
         else:
-            done.append(None)
-    return done[0]
-
-
-def attach_vars(shape: Shape, labels: Sequence[int]) -> Term:
-    """Label the leaves of ``shape`` with ``labels``, left to right."""
-    it = iter(labels)
-    done = []
-    work = [(shape, False)]
-    while work:
-        node, expanded = work.pop()
-        if expanded:
-            right = done.pop()
-            left = done.pop()
-            done.append((left, right))
-        elif node is None:
             try:
                 done.append(next(it))
             except StopIteration:
                 raise ValueError("fewer labels than leaves") from None
-        else:
-            work.append((node, True))
-            work.append((node[1], False))
-            work.append((node[0], False))
     leftovers = sum(1 for _ in it)
     if leftovers:
         raise ValueError(f"{leftovers} labels beyond the leaf count")
@@ -180,7 +161,7 @@ def is_canonical(term: Term) -> bool:
 
 def canonical_form(term: Term) -> Term:
     """The canonical representative of ``term`` up to variable renaming."""
-    return attach_vars(shape_of(term), canonicalize(leaf_vars(term)))
+    return attach_vars(term, canonicalize(leaf_vars(term)))
 
 
 def decode_remy_vector(entries: Sequence[int], n: int) -> Term:

@@ -1,10 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import terms_up_to_20_vars
+from hypothesis import given
 
+from canex import classical
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
-                             SEARCH_BUDGET, TAUTOLOGY, UNKNOWN, _full_witness,
+                             SEARCH_BUDGET, TAUTOLOGY, UNKNOWN,
+                             SearchBudgetExceeded, _full_witness,
                              antilogy_valuation, evaluate, falsify_search,
                              is_simple_antilogy, is_simple_non_tautology,
                              tautology_status)
@@ -37,6 +40,16 @@ class TestEvaluate:
     def test_missing_variable(self):
         with pytest.raises(ValueError):
             evaluate(parse("a1->a0"), {0: False})
+
+    def test_hundred_thousand_deep_left_chain(self):
+        # ((a0->a0)->a0)->...: the innermost implication is true and each
+        # further level negates, as its conclusion a0 is false.
+        term = 0
+        for _ in range(10 ** 5):
+            term = (term, 0)
+        assert evaluate(term, {0: False}) is False
+        assert evaluate((term, 0), {0: False}) is True
+        assert evaluate(term, {0: True}) is True
 
 
 class TestSimpleAntilogy:
@@ -111,6 +124,92 @@ class TestFalsifySearch:
                 if found is not None:
                     total = {v: found.get(v, True) for v in distinct_vars(term)}
                     assert evaluate(term, total) is False
+
+
+def recursive_search(term):
+    """The recursive tableau that falsify_search's loop replaced: the oracle.
+
+    Returns the falsifier it finds (or None) and the choice points it tried.
+    It has no budget and recurses once per deferred implication, so callers
+    give it only inputs it decides quickly.
+    """
+    rho = {}
+    calls = 0
+
+    def attempt(pending):
+        nonlocal calls
+        calls += 1
+        trail = []
+        stack = list(pending)
+        deferred = []
+        while stack:
+            sign, node = stack.pop()
+            if isinstance(node, int):
+                known = rho.get(node)
+                if known is None:
+                    rho[node] = sign
+                    trail.append(node)
+                elif known is not sign:
+                    for v in trail:
+                        del rho[v]
+                    return False
+            elif sign:
+                deferred.append(node)
+            else:
+                stack.append((True, node[0]))
+                stack.append((False, node[1]))
+        if deferred:
+            first, rest = deferred[0], deferred[1:]
+            rest_true = [(True, node) for node in rest]
+            if attempt(rest_true + [(True, first[1])]):
+                return True
+            if attempt(rest_true + [(False, first[0])]):
+                return True
+            for v in trail:
+                del rho[v]
+            return False
+        return True
+
+    found = dict(rho) if attempt([(False, term)]) else None
+    return found, calls
+
+
+def sampled_search_inputs(n, count, seed=4242):
+    """Cleaned samples that the antilogy filter leaves to the search."""
+    cleaned = (clean(random_canonical(stream_for_sample(seed, i), n))
+               for i in range(count))
+    return [c for c in cleaned if not is_simple_antilogy(c)]
+
+
+class TestSearchMatchesRecursiveReference:
+    """Same witness, in the same order, after the same number of choice points."""
+
+    @staticmethod
+    def assert_same_search(term, monkeypatch):
+        expected, calls = recursive_search(term)
+        found = falsify_search(term)
+        assert found == expected
+        if found is not None:
+            assert list(found.items()) == list(expected.items())
+        monkeypatch.setattr(classical, "SEARCH_BUDGET", calls)
+        assert falsify_search(term) == expected
+        monkeypatch.setattr(classical, "SEARCH_BUDGET", calls - 1)
+        with pytest.raises(SearchBudgetExceeded):
+            falsify_search(term)
+        monkeypatch.undo()
+
+    def test_exhaustive_raw_and_cleaned(self, monkeypatch):
+        for n in range(1, 7):
+            for term in enumerate_canonical(n):
+                self.assert_same_search(term, monkeypatch)
+                self.assert_same_search(clean(term), monkeypatch)
+
+    @pytest.mark.parametrize("n,count", [(25, 600), (100, 1000), (300, 800)])
+    def test_sampled_search_inputs(self, n, count, monkeypatch):
+        inputs = sampled_search_inputs(n, count)
+        assert len(inputs) > 20
+        for term in inputs:
+            self.assert_same_search(term, monkeypatch)
 
 
 class TestTautologyStatus:
@@ -217,21 +316,6 @@ class TestCompleteSearch:
         assert status.status == UNKNOWN
         assert str(SEARCH_BUDGET) in status.reason
         assert "budget" in status.reason
-
-
-@st.composite
-def terms_up_to_20_vars(draw):
-    """Up to 40 leaves labelled from 20 variables, split at drawn points."""
-    size = draw(st.integers(1, 40))
-    labels = draw(st.lists(st.integers(0, 19), min_size=size, max_size=size))
-
-    def build(lo, hi):
-        if hi - lo == 1:
-            return labels[lo]
-        mid = draw(st.integers(lo + 1, hi - 1))
-        return (build(lo, mid), build(mid, hi))
-
-    return build(0, len(labels))
 
 
 @given(terms_up_to_20_vars())

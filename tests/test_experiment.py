@@ -3,7 +3,8 @@ import json
 import pytest
 
 from canex import experiment
-from canex.classical import CERT_ANTILOGY, NOT_TAUTOLOGY, TAUTOLOGY
+from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
+                             TAUTOLOGY, evaluate)
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
                               simple_rate)
@@ -60,6 +61,22 @@ class TestDeepInput:
         # chain then starts from its conclusion a0.
         assert render(cls.verdict.cleaned) == render(left_chain(depth, start=0, skip=2))
         assert cls.verdict.cleaned_size == depth - 1
+
+    def test_eleven_hundred_deferred_implications(self):
+        # Every premise a1 -> a0 shares the goal and is not easy, so neither
+        # the antilogy filter nor clean settles the term: the search defers
+        # all 1100 implications and refutes them one choice point at a time.
+        premises = 1100
+        term = 0
+        for _ in range(premises):
+            term = ((1, 0), term)
+        cls = classify(term)
+        assert cls.taut.status == NOT_TAUTOLOGY
+        assert cls.taut.certificate == CERT_VALUATION
+        assert cls.taut.witness == {0: False, 1: False}
+        assert evaluate(term, cls.taut.witness) is False
+        assert render(cls.verdict.cleaned) == render(term)
+        assert not cls.verdict.cheap
 
 
 class TestConfig:

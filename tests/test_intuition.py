@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
+from conftest import terms_up_to_20_vars
+from hypothesis import given, strategies as st
 
+from canex.classical import evaluate
 from canex.intuition import (cheap_verdict, clean, is_cheap, is_easy, is_minor,
                              is_mp, is_simple)
-from canex.reference import enumerate_canonical, prove_intuitionistic
+from canex.reference import enumerate_canonical, prove_intuitionistic, \
+    truth_table_tautology
 from canex.sampling import random_canonical, stream_for_sample
-from canex.terms import leaf_count, parse, spine
+from canex.terms import distinct_vars, leaf_count, parse, spine
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
 
@@ -155,3 +159,20 @@ class TestCheap:
         verdict = cheap_verdict(parse("a1->a0->a0"))
         assert set(verdict.as_dict()) == {
             "simple", "mp", "easy", "minorAfterClean", "cheap", "cleanedSize"}
+
+
+@given(terms_up_to_20_vars(), st.lists(st.booleans(), min_size=20, max_size=20))
+def test_clean_preserves_truth(term, bits):
+    cleaned = clean(term)
+    valuation = dict(enumerate(bits))
+    assert evaluate(cleaned, valuation) == evaluate(term, valuation)
+    assert distinct_vars(cleaned) <= distinct_vars(term)
+    assert truth_table_tautology(cleaned) == truth_table_tautology(term)
+
+
+@given(terms_up_to_20_vars(max_leaves=20))
+def test_clean_preserves_provability_and_cheap_is_provable(term):
+    provable = prove_intuitionistic(term)
+    assert prove_intuitionistic(clean(term)) == provable
+    if cheap_verdict(term).cheap:
+        assert provable

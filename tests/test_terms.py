@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from conftest import terms_up_to_20_vars
+from hypothesis import given
 
 from canex.terms import (CanonicalityError, ParseError, RemyVectorError,
                          attach_vars, canonical_form, canonicalize,
@@ -242,3 +244,12 @@ class TestShapeAndJson:
             to_json_obj((0, 1))
         with pytest.raises(CanonicalityError):
             from_json_obj({"rgs": [0, 1], "shape": "(LL)"})
+
+
+@given(terms_up_to_20_vars())
+def test_canonical_form_round_trips(term):
+    c = canonical_form(term)
+    assert is_canonical(c)
+    assert shape_of(c) == shape_of(term)
+    assert parse(render(c)) == c
+    assert from_json_obj(to_json_obj(c)) == c
