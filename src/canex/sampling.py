@@ -9,8 +9,11 @@ platform; ``stream_for_sample`` is the documented derivation.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .counting import stam_table
 from .terms import (Shape, Term, canonicalize, decode_labelled_vector,
@@ -19,16 +22,39 @@ from .terms import (Shape, Term, canonicalize, decode_labelled_vector,
 # name stays importable from this module.
 from .terms import attach_vars  # noqa: F401
 
-_MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+_MASK64 = _TWO64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer; a bijection on 64-bit words."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=8)
+def _lanes(k: int) -> tuple[int, int, int]:
+    """Constants for ``take(k)``: k 128-bit lanes packed in one int.
+
+    Lane j of ``ones`` holds 1, of ``steps`` ``(j+1)*gamma mod 2**64`` and of
+    ``mask`` ``2**64 - 1``.  Built from bytes, in time linear in k; summing
+    shifted ints would be quadratic.
+    """
+    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * k, "little")
+    steps = array("Q", bytes(16 * k))
+    step = 0
+    for j in range(0, 2 * k, 2):
+        step = (step + _GAMMA) & _MASK64
+        steps[j] = step
+    if sys.byteorder == "big":
+        steps.byteswap()
+    return ones, int.from_bytes(steps.tobytes(), "little"), mask
 
 
 class SplitMix64:
@@ -42,6 +68,27 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         return mix64(self._state)
+
+    def take(self, k: int) -> list[int]:
+        """The next k words, as k ``next_u64()`` calls would return them.
+
+        SplitMix64 is counter-based: word j is ``mix64(state + (j+1)*gamma)``.
+        Each word gets a 128-bit lane of one int and the finalizer runs on
+        all lanes at once.  Masking each lane to 64 bits after a xor-shift
+        clears the next lane's low bits that the shift brought in, and keeps
+        the following 64x64-bit product inside its lane.
+        """
+        ones, steps, mask = _lanes(k)
+        state = self._state
+        self._state = (state + k * _GAMMA) & _MASK64
+        z = (state * ones + steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * _MIX_A & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX_B & mask
+        z ^= z >> 31  # the bits this lets in from the next lane are dropped below
+        lanes = array("Q", z.to_bytes(16 * k, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes[::2].tolist()
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection; no modulo bias."""
@@ -75,13 +122,23 @@ def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
     its half the slot whose subtree gets a new internal node (labeled
     2*size - 1) above it, and with its parity the side of the new leaf
     (labeled 2*size): even hangs the old subtree on the left and the new
-    leaf on the right, odd the other way around.
+    leaf on the right, odd the other way around.  Each draw is
+    ``rng.below(4*size - 2)``; the words come from one ``take``.
     """
     if n < 1:
         raise ValueError("trees have at least one leaf")
     v = [0] * (2 * n - 1)
-    for size in range(1, n):  # leaves before this insertion
-        x = rng.below(4 * size - 2)
+    words = rng.take(n - 1)
+    size = 1  # leaves before the next insertion
+    for z in words:
+        bound = 4 * size - 2
+        x = z % bound
+        if z - x > _TWO64 - bound:
+            # ``below`` would reject z and retry with the next word: the
+            # words left in the list come next in the stream, and the
+            # appended one follows them.
+            words.append(rng.next_u64())
+            continue
         k = x >> 1
         old = v[k]
         v[k] = 2 * size - 1
@@ -91,6 +148,7 @@ def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
         else:
             v[2 * size - 1] = old
             v[2 * size] = 2 * size
+        size += 1
     return v
 
 
@@ -112,11 +170,17 @@ def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
 
     Stam's urn: a class count m from ``stam_table(n)`` (clamped to the
     table's length), then an independent label in [0, m) for each element.
+    Each label is ``rng.below(m)``; the words come from one ``take``.
     """
     table = stam_table(n)
     m = min(bisect_right(table, rng.random()) + 1, len(table))
-    labels = tuple(rng.below(m) for _ in range(n))
-    return ClassDescription(labels=labels, num_classes=m)
+    limit = _TWO64 - _TWO64 % m
+    labels = [z % m for z in rng.take(n) if z < limit]
+    while len(labels) < n:  # words ``below`` rejected: draw their retries
+        z = rng.next_u64()
+        if z < limit:
+            labels.append(z % m)
+    return ClassDescription(labels=tuple(labels), num_classes=m)
 
 
 def to_growth_string(description: ClassDescription) -> tuple[int, ...]:

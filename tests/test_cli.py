@@ -141,3 +141,17 @@ class TestInstalledEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip().split("\n")[1].startswith("3,2,5,10")
+
+    def test_no_numpy_at_runtime(self):
+        # numpy would add ~12 MB of peak memory to every run; the sampler
+        # and the experiment runner are pure Python.
+        script = (
+            "import sys, canex, canex.cli\n"
+            "from canex.experiment import ExperimentConfig, run_experiment\n"
+            "from canex.sampling import random_canonical, stream_for_sample\n"
+            "random_canonical(stream_for_sample(1, 0), 100)\n"
+            "run_experiment(ExperimentConfig(n=100, count=20, seed=1))\n"
+            "assert 'numpy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

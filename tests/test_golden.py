@@ -9,6 +9,8 @@ count or a dumped record moves a digest.
 import hashlib
 
 from canex.experiment import ExperimentConfig, emit_report, run_experiment
+from canex.sampling import random_canonical, stream_for_sample
+from canex.terms import render
 
 SEEDS = range(12358, 12363)
 
@@ -17,6 +19,14 @@ SEEDS = range(12358, 12363)
 CSV_SHA256 = "95b6e1b59b30146252c14096d97e4a3195d358c325c53a4416cc8226b5e6b7e0"
 # JSONL dump bytes at n = 25, 300 samples per run, each seed in turn.
 JSONL_SHA256 = "86129ddb5212eda03b7f03cc8fec6ef36427e89524db3d3c186a50e6d33be275"
+
+# Sampler bytes at seed 4242: for each (n, count) and each i < count, the
+# rendered random_canonical(stream_for_sample(4242, i), n) and then the
+# stream's next word, so a sample that consumed one word too many or too
+# few moves the digest even where the term does not.
+SAMPLER_SIZES = ((1, 50), (2, 200), (3, 200), (25, 3000), (100, 2000), (1000, 200),
+                 (3000, 40))
+SAMPLER_SHA256 = "7a589cda6988461611106cfed1583c4a1ea5dfcf78842fa2d2c4b8faa2082a06"
 
 
 def test_csv_rows():
@@ -37,3 +47,13 @@ def test_jsonl_dump(tmp_path):
         emit_report(report, dump_jsonl=str(path))
         digest.update(path.read_bytes())
     assert digest.hexdigest() == JSONL_SHA256
+
+
+def test_sampler_terms_and_stream_ends():
+    digest = hashlib.sha256()
+    for n, count in SAMPLER_SIZES:
+        for i in range(count):
+            rng = stream_for_sample(4242, i)
+            digest.update(render(random_canonical(rng, n)).encode())
+            digest.update(str(rng.next_u64()).encode())
+    assert digest.hexdigest() == SAMPLER_SHA256

@@ -1,9 +1,10 @@
 import math
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
 
-from canex.counting import bell, count_canonical
+from canex.counting import bell, count_canonical, stam_table
 from canex.reference import all_shapes, chi_square, enumerate_canonical
 from canex.sampling import (ClassDescription, SplitMix64, mix64,
                             random_canonical, random_partition, random_tree,
@@ -15,6 +16,9 @@ from canex.terms import (attach_vars, canonicalize, decode_remy_vector,
 
 # Upper 0.001 tail of the chi-square distribution.
 CHI2_CRIT = {2: 13.816, 4: 18.467, 9: 27.877, 13: 34.528, 14: 36.123}
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 SECOND_TABLE = [1, 13, 0, 2, 5, 9, 7, 8, 4, 11, 6, 12, 10, 15, 3, 16, 14]
 FIRST_TABLE = [1, 13, 0, 2, 5, 9, 7, 8, 4, 11, 17, 12, 10, 15, 3, 16, 14, 18, 6]
@@ -44,6 +48,20 @@ class TestSplitMix64:
         assert all(0.0 <= v < 1.0 for v in values)
         assert 0.4 < sum(values) / len(values) < 0.6
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 127, 200_000])
+    def test_take_equals_next_u64_calls(self, k):
+        # 200,000 words take well under a second; a lane build quadratic in
+        # k would take minutes.
+        block, scalar = SplitMix64(2718281828), SplitMix64(2718281828)
+        assert block.take(k) == [scalar.next_u64() for _ in range(k)]
+        assert block.next_u64() == scalar.next_u64()
+
+    def test_take_at_the_top_of_the_state_space(self):
+        # Lanes whose state wraps past 2**64 and words at both ends of the range.
+        for seed in (MASK64, MASK64 - GAMMA, unmix64(0) - GAMMA, unmix64(MASK64) - 3 * GAMMA):
+            block, scalar = SplitMix64(seed), SplitMix64(seed)
+            assert block.take(5) == [scalar.next_u64() for _ in range(5)]
+
     def test_stream_derivation_contract(self):
         seed, index = 987654321, 13
         expected = SplitMix64(mix64((seed + (index + 1) * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)))
@@ -52,16 +70,22 @@ class TestSplitMix64:
 
 
 class _ScriptedDraws(SplitMix64):
-    """Answers ``below`` from a fixed list of draws, checking each bound."""
+    """Answers ``take`` with a fixed list of draws.
+
+    Each scripted x lies in [0, bound), so the sampler accepts it and reads
+    ``x % bound == x``; a retry (``next_u64``) would mean one was out of range.
+    """
 
     def __init__(self, draws):
         super().__init__(0)
         self.draws = list(draws)
 
-    def below(self, bound):
-        x = self.draws.pop(0)
-        assert 0 <= x < bound
-        return x
+    def take(self, k):
+        assert k == len(self.draws)
+        return list(self.draws)
+
+    def next_u64(self):
+        raise AssertionError("a scripted draw was out of range")
 
 
 class TestRemyStep:
@@ -90,16 +114,6 @@ class TestRemyStep:
         assert random_tree_vector(_ScriptedDraws([1]), 2) == [1, 2, 0]
 
 
-class _CountingRng(SplitMix64):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def below(self, bound):
-        self.draws += 1
-        return super().below(bound)
-
-
 class TestRandomTree:
     def test_single_leaf(self):
         assert random_tree(SplitMix64(5), 1) is None
@@ -112,9 +126,9 @@ class TestRandomTree:
         assert sorted(labels) == sorted(range(0, 199, 2))
 
     def test_exactly_n_minus_one_draws(self):
-        rng = _CountingRng(3)
+        rng, fresh = SplitMix64(3), SplitMix64(3)
         random_tree(rng, 64)
-        assert rng.draws == 63
+        assert rng.next_u64() == [fresh.next_u64() for _ in range(64)][-1]
 
     def test_uniform_shapes_n4(self):
         bins = Counter()
@@ -235,3 +249,80 @@ class TestRandomCanonical:
         exact = 323519 / 1776060
         sigma = math.sqrt(exact * (1 - exact) / draws)
         assert abs(hits / draws - exact) < 4.5 * sigma
+
+
+def unmix64(z: int) -> int:
+    """Inverse of ``mix64``: undoes each xor-shift and multiply in turn."""
+    z &= MASK64
+    z ^= z >> 31 ^ z >> 62
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z ^= z >> 27 ^ z >> 54
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
+def scalar_tree_vector(rng: SplitMix64, n: int) -> list[int]:
+    """The sampler's tree draw as one ``below`` call per insertion."""
+    v = [0] * (2 * n - 1)
+    for size in range(1, n):
+        x = rng.below(4 * size - 2)
+        k = x >> 1
+        old = v[k]
+        v[k] = 2 * size - 1
+        if x & 1:
+            v[2 * size - 1] = 2 * size
+            v[2 * size] = old
+        else:
+            v[2 * size - 1] = old
+            v[2 * size] = 2 * size
+    return v
+
+
+def scalar_partition(rng: SplitMix64, n: int) -> ClassDescription:
+    """The sampler's partition draw as one ``below`` call per label."""
+    table = stam_table(n)
+    m = min(bisect_right(table, rng.random()) + 1, len(table))
+    return ClassDescription(labels=tuple(rng.below(m) for _ in range(n)), num_classes=m)
+
+
+def forced_stream(j: int, word: int) -> SplitMix64:
+    """A stream whose j-th draw (from 1) is ``word``."""
+    return SplitMix64(unmix64(word) - j * GAMMA)
+
+
+class TestBlockDrawsMatchScalarReference:
+    """``take``-fed samplers against one ``below`` call per word."""
+
+    def test_unmix64_inverts_mix64(self):
+        for z in (0, 1, MASK64, MASK64 - 1, GAMMA, *(mix64(i) for i in range(200))):
+            assert mix64(unmix64(z)) == z
+            assert unmix64(mix64(z)) == z
+
+    @staticmethod
+    def assert_same_sample(fast: SplitMix64, slow: SplitMix64, n: int):
+        assert random_tree_vector(fast, n) == scalar_tree_vector(slow, n)
+        assert random_partition(fast, n) == scalar_partition(slow, n)
+        assert fast.next_u64() == slow.next_u64()
+
+    @pytest.mark.parametrize("n,count", [(1, 200), (2, 400), (3, 400), (7, 400),
+                                         (25, 300), (100, 200), (1000, 30)])
+    def test_sampled_streams(self, n, count):
+        for seed in (0, 12358, MASK64):
+            for index in range(count):
+                self.assert_same_sample(stream_for_sample(seed, index),
+                                        stream_for_sample(seed, index), n)
+
+    @pytest.mark.parametrize("word", [MASK64, MASK64 - 1])
+    def test_forced_rejection_at_every_draw(self, word):
+        # At n = 30, draws 1..29 feed the tree (bound 2 never rejects), draw 30
+        # the class count and draws 31..60 the labels; draw 61 is the first
+        # word after the sample, which a rejected last label retries with.
+        n = 30
+        retried = 0
+        for j in range(1, 2 * n + 2):
+            fast, slow = forced_stream(j, word), forced_stream(j, word)
+            start = slow._state
+            self.assert_same_sample(fast, slow, n)
+            draws = ((slow._state - start) * pow(GAMMA, -1, 1 << 64)) & MASK64
+            retried += draws > 2 * n + 1
+        assert retried >= n - 2  # every tree draw past the first is retried
