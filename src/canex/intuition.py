@@ -14,23 +14,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Term, leaf_count, spine
+from .terms import Term, goal_of, leaf_count
 
 
 def is_simple(term: Term) -> bool:
     """Goal variable occurs as one of the spine premises."""
-    premises, goal = spine(term)
-    return any(p == goal for p in premises if isinstance(p, int))
+    goal = goal_of(term)
+    node = term
+    while isinstance(node, tuple):
+        if node[0] == goal:
+            return True
+        node = node[1]
+    return False
 
 
 def is_mp(term: Term) -> bool:
     """Premises contain some variable v together with v -> goal."""
-    premises, goal = spine(term)
-    variables = {p for p in premises if isinstance(p, int)}
-    return any(
-        isinstance(p, tuple) and p[1] == goal
-        and isinstance(p[0], int) and p[0] in variables
-        for p in premises)
+    goal = goal_of(term)
+    variables = []
+    wanted = []  # each v with a premise v -> goal
+    node = term
+    while isinstance(node, tuple):
+        p = node[0]
+        if isinstance(p, tuple):
+            if p[1] == goal and isinstance(p[0], int):
+                wanted.append(p[0])
+        else:
+            variables.append(p)
+        node = node[1]
+    return bool(wanted) and not set(variables).isdisjoint(wanted)
 
 
 def is_easy(term: Term) -> bool:
@@ -77,15 +89,47 @@ def is_minor(term: Term) -> bool:
     With premises p1..pk and goal g, the tails are t_m = pm -> ... -> g and
     t_{k+1} = g; the term is minor when p_i == t_m for some i < m.  Taking
     t_{k+1} recovers the simple case, so simple implies minor.
+
+    Every tail ends in g, and t_m has k - m + 1 premises, so a premise can
+    equal only the one tail with its goal and its spine length.  Each
+    premise is compared once, with that tail, so the test takes time linear
+    in the size of the term, and it neither hashes nor recurses.
     """
-    seen = set()
+    tails = []
     node = term
     while isinstance(node, tuple):
-        seen.add(node[0])
+        tails.append(node)
         node = node[1]
-        if node in seen:
+    goal = node
+    k = len(tails)
+    tails.append(goal)
+    for i in range(k):
+        premise = tails[i][0]
+        length = 0
+        node = premise
+        while isinstance(node, tuple):
+            length += 1
+            node = node[1]
+        if node == goal and k - length > i and _equal(premise, tails[k - length]):
             return True
     return False
+
+
+def _equal(a: Term, b: Term) -> bool:
+    """``a == b``, with an explicit stack; stops at the first difference."""
+    work = [a, b]
+    while work:
+        b = work.pop()
+        a = work.pop()
+        if a is b:
+            continue
+        if isinstance(a, tuple):
+            if not isinstance(b, tuple):
+                return False
+            work += (a[1], b[1], a[0], b[0])
+        elif isinstance(b, tuple) or a != b:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -247,14 +247,17 @@ def render(term: Term) -> str:
         node = work.pop()
         if isinstance(node, str):
             out.append(node)
-        elif isinstance(node, int):
-            out.append(f"a{node}")
-        else:
-            prem, concl = node
+            continue
+        # Down the right spine: a bare-variable premise goes out with its
+        # arrow at once; a compound one is bracketed, and the rest waits.
+        while isinstance(node, tuple):
+            prem, node = node
             if isinstance(prem, tuple):
-                work += [concl, "->", ")", prem, "("]
-            else:
-                work += [concl, "->", prem]
+                work += (node, ")->", prem, "(")
+                break
+            out.append(f"a{prem}->")
+        else:
+            out.append(f"a{node}")
     return "".join(out)
 
 

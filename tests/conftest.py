@@ -24,3 +24,11 @@ def terms_up_to_20_vars(draw, max_leaves=40):
         return (build(lo, mid), build(mid, hi))
 
     return build(0, len(labels))
+
+
+def left_chain(depth: int, start: int = 1, skip: int = 0):
+    """``((start -> x) -> x') -> ...``, the goals alternating and ending in a0."""
+    term = start
+    for i in range(skip, depth):
+        term = (term, (depth - 1 - i) % 2)
+    return term

@@ -3,8 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from conftest import left_chain
 
 from canex.cli import main
+from canex.terms import canonical_form, render
 
 
 def run_cli(args, capsys):
@@ -141,6 +143,17 @@ class TestInstalledEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip().split("\n")[1].startswith("3,2,5,10")
+
+    def test_classify_premise_equal_to_a_deep_tail(self):
+        # (D -> a0) -> D -> a0 with D 2000 deep: the premise is compared with
+        # the tail D -> a0 without recursion.
+        chain = left_chain(2000)
+        text = render(canonical_form(((chain, 0), (chain, 0))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "canex.cli", "classify", "--expr", text],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert "cheap: True" in proc.stdout.split("\n")
 
     def test_no_numpy_at_runtime(self):
         # numpy would add ~12 MB of peak memory to every run; the sampler

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import left_chain
 
 from canex import experiment
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
@@ -8,15 +9,7 @@ from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
                               simple_rate)
-from canex.terms import parse, render
-
-
-def left_chain(depth: int, start: int = 1, skip: int = 0):
-    """``((start -> x) -> x') -> ...``, the goals alternating and ending in a0."""
-    term = start
-    for i in range(skip, depth):
-        term = (term, (depth - 1 - i) % 2)
-    return term
+from canex.terms import canonical_form, parse, render
 
 
 class TestClassify:
@@ -77,6 +70,16 @@ class TestDeepInput:
         assert evaluate(term, cls.taut.witness) is False
         assert render(cls.verdict.cleaned) == render(term)
         assert not cls.verdict.cheap
+
+    def test_premise_equal_to_a_deep_tail(self):
+        # (D -> a0) -> D -> a0 with D 2000 deep: minor, so cheap, and the
+        # comparison of the two distinct copies of D raises nothing.
+        chain = left_chain(2000)
+        term = parse(render(canonical_form(((chain, 0), (chain, 0)))))
+        cls = classify(term)
+        assert cls.verdict.minor_after_clean and cls.verdict.cheap
+        assert not cls.verdict.easy
+        assert cls.taut.status == TAUTOLOGY
 
 
 class TestConfig:

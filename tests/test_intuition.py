@@ -1,7 +1,8 @@
 import itertools
+import time
 
 import pytest
-from conftest import terms_up_to_20_vars
+from conftest import left_chain, terms_up_to_20_vars
 from hypothesis import given, strategies as st
 
 from canex.classical import evaluate
@@ -10,7 +11,8 @@ from canex.intuition import (cheap_verdict, clean, is_cheap, is_easy, is_minor,
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
 from canex.sampling import random_canonical, stream_for_sample
-from canex.terms import distinct_vars, leaf_count, parse, spine
+from canex.terms import (canonical_form, distinct_vars, leaf_count, parse,
+                         render, spine)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
 
@@ -18,6 +20,47 @@ PEIRCE = parse("((a0->a1)->a0)->a0")
 # bare variable a28 and the premise a28->a0 with goal a0.
 MP_CLEANED_TEXT = ("a28->(a22->(a26->(a14->a2)->(a11->a8))->a28)"
                    "->(a28->a9->a13)->a14->(a28->a0)->a0")
+
+
+# References: the spine()-based patterns and the hashing is_minor that the
+# in-place walks replaced.  The tests below check that they agree.
+
+def reference_is_simple(term):
+    premises, goal = spine(term)
+    return any(p == goal for p in premises if isinstance(p, int))
+
+
+def reference_is_mp(term):
+    premises, goal = spine(term)
+    variables = {p for p in premises if isinstance(p, int)}
+    return any(
+        isinstance(p, tuple) and p[1] == goal
+        and isinstance(p[0], int) and p[0] in variables
+        for p in premises)
+
+
+def reference_is_minor(term):
+    seen = set()
+    node = term
+    while isinstance(node, tuple):
+        seen.add(node[0])
+        node = node[1]
+        if node in seen:
+            return True
+    return False
+
+
+def assert_matches_references(term):
+    # The top spine and every premise met below it: clean tests is_easy on
+    # every compound left child.
+    work = [term]
+    while work:
+        node = work.pop()
+        if isinstance(node, tuple):
+            assert is_simple(node) == reference_is_simple(node), render(node)
+            assert is_mp(node) == reference_is_mp(node), render(node)
+            assert is_minor(node) == reference_is_minor(node), render(node)
+            work += node
 
 
 class TestSimple:
@@ -57,7 +100,7 @@ class TestMP:
         # The v premise sits inside another premise, not on the top spine.
         assert not is_mp(parse("((a1->a0)->a1->a0)->a0", canonical=False))
 
-    def test_compound_pattern_only_with_flag(self):
+    def test_compound_pattern_not_mp(self):
         term = parse("((a1->a0)->a0)->(a1->a0)->a0")
         assert not is_mp(term)
 
@@ -118,6 +161,46 @@ class TestMinor:
             for term in enumerate_canonical(n):
                 if is_simple(term):
                     assert is_minor(term)
+
+    def test_premise_equal_to_a_deep_tail(self):
+        # (D -> a0) -> D -> a0 with D 2000 deep; the two copies of D are
+        # distinct objects, so the comparison walks all of D.
+        chain = left_chain(2000)
+        term = parse(render(canonical_form(((chain, 0), (chain, 0)))))
+        assert term[0][0] is not term[1][0]
+        assert is_minor(term) and not is_simple(term)
+
+    def test_deep_near_miss(self):
+        # The premise and the tail agree down to their innermost leaf.
+        premise, tail = left_chain(2000, start=1), left_chain(2000, start=2)
+        term = parse(render(canonical_form(((premise, 0), (tail, 0)))))
+        assert not is_minor(term)
+        assert not cheap_verdict(term).minor_after_clean
+
+    def test_linear_in_the_spine(self):
+        # 10^5 premises a1 -> a0 before a0: each is compared with one tail.
+        term = 0
+        for _ in range(10 ** 5):
+            term = ((1, 0), term)
+        started = time.perf_counter()
+        assert not is_minor(term)
+        assert not cheap_verdict(term).cheap
+        assert time.perf_counter() - started < 5.0
+
+
+class TestMatchesReferences:
+    def test_exhaustive_raw_and_cleaned(self):
+        for n in range(1, 7):
+            for term in enumerate_canonical(n):
+                assert_matches_references(term)
+                assert_matches_references(clean(term))
+
+    @pytest.mark.parametrize("n, count", [(25, 1000), (100, 800), (300, 400), (1000, 200)])
+    def test_sampled_raw_and_cleaned(self, n, count):
+        for i in range(count):
+            term = random_canonical(stream_for_sample(4242, i), n)
+            assert_matches_references(term)
+            assert_matches_references(clean(term))
 
 
 class TestCheap:
