@@ -13,7 +13,7 @@ that budget ran out and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .intuition import clean, is_simple
@@ -148,28 +148,40 @@ def falsify_search(term: Term) -> Optional[dict[int, bool]]:
 
 @dataclass(frozen=True)
 class TautologyStatus:
-    """Decision plus certificate: a falsifying valuation or the antilogy flag."""
+    """Decision plus certificate: the antilogy flag or a falsifying valuation.
+
+    A non-tautology keeps its raw ``term`` and a partial ``falsifier``, which
+    are neither compared nor printed: the goal false for an antilogy
+    (cleaning keeps the goal), or the search's own assignment.
+    """
 
     status: str
     certificate: Optional[str] = None
-    witness: Optional[dict[int, bool]] = None
     reason: Optional[str] = None
+    term: Optional[Term] = field(default=None, compare=False, repr=False)
+    falsifier: Optional[Mapping[int, bool]] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def is_tautology(self) -> bool:
         return self.status == TAUTOLOGY
+
+    @property
+    def witness(self) -> Optional[dict[int, bool]]:
+        """A total falsifying valuation of the raw term, built when read.
+
+        Variables dropped by cleaning, or left free by the search, may take
+        any value; they get True.
+        """
+        if self.falsifier is None:
+            return None
+        return {v: self.falsifier.get(v, True) for v in distinct_vars(self.term)}
 
     def as_dict(self) -> dict:
         out = {"status": self.status, "certificate": self.certificate}
         if self.reason is not None:
             out["reason"] = self.reason
         return out
-
-
-def _full_witness(term: Term, partial: Mapping[int, bool]) -> dict[int, bool]:
-    # Variables dropped by cleaning, or left free by the search, may take any
-    # value; fill with True so the witness is total on the original term.
-    return {v: bool(partial.get(v, True)) for v in distinct_vars(term)}
 
 
 def tautology_status(term: Term, *, cleaned: Term | None = None) -> TautologyStatus:
@@ -182,9 +194,8 @@ def tautology_status(term: Term, *, cleaned: Term | None = None) -> TautologySta
     if cleaned is None:
         cleaned = clean(term)
     if is_simple_antilogy(cleaned):
-        # Cleaning keeps the goal, so the raw term's antilogy valuation is
-        # the cleaned one's, extended by True to the dropped variables.
-        return TautologyStatus(NOT_TAUTOLOGY, CERT_ANTILOGY, antilogy_valuation(term))
+        return TautologyStatus(NOT_TAUTOLOGY, CERT_ANTILOGY, term=term,
+                               falsifier={goal_of(cleaned): False})
     try:
         found = falsify_search(cleaned)
     except SearchBudgetExceeded:
@@ -193,4 +204,4 @@ def tautology_status(term: Term, *, cleaned: Term | None = None) -> TautologySta
                             f"{SEARCH_BUDGET} choice points")
     if found is None:
         return TautologyStatus(TAUTOLOGY)
-    return TautologyStatus(NOT_TAUTOLOGY, CERT_VALUATION, _full_witness(term, found))
+    return TautologyStatus(NOT_TAUTOLOGY, CERT_VALUATION, term=term, falsifier=found)

@@ -174,7 +174,3 @@ def cheap_verdict(term: Term, cleaned: Term | None = None) -> IntuitVerdict:
         cleaned_size=leaf_count(cleaned),
         cleaned=cleaned,
     )
-
-
-def is_cheap(term: Term) -> bool:
-    return cheap_verdict(term).cheap

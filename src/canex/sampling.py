@@ -90,16 +90,6 @@ class SplitMix64:
             lanes.byteswap()
         return lanes[::2].tolist()
 
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection; no modulo bias."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % bound
-
     def random(self) -> float:
         """Uniform float in [0, 1) from the 53 high bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
@@ -116,14 +106,15 @@ def stream_for_sample(seed: int, index: int) -> SplitMix64:
 
 
 def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
-    """Insertion vector of a uniform n-leaf tree; exactly n-1 draws.
+    """Insertion vector of a uniform n-leaf tree, from n-1 accepted draws.
 
     Growing from ``size`` leaves, the draw x in [0, 4*size - 2) picks with
     its half the slot whose subtree gets a new internal node (labeled
     2*size - 1) above it, and with its parity the side of the new leaf
     (labeled 2*size): even hangs the old subtree on the left and the new
-    leaf on the right, odd the other way around.  Each draw is
-    ``rng.below(4*size - 2)``; the words come from one ``take``.
+    leaf on the right, odd the other way around.  Each draw follows the
+    rejection rule in README's determinism contract; the words come from one
+    ``take``.
     """
     if n < 1:
         raise ValueError("trees have at least one leaf")
@@ -134,9 +125,8 @@ def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
         bound = 4 * size - 2
         x = z % bound
         if z - x > _TWO64 - bound:
-            # ``below`` would reject z and retry with the next word: the
-            # words left in the list come next in the stream, and the
-            # appended one follows them.
+            # Rejected: retry with the next word.  The words left in the
+            # list come next in the stream, and the appended one follows them.
             words.append(rng.next_u64())
             continue
         k = x >> 1
@@ -170,13 +160,14 @@ def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
 
     Stam's urn: a class count m from ``stam_table(n)`` (clamped to the
     table's length), then an independent label in [0, m) for each element.
-    Each label is ``rng.below(m)``; the words come from one ``take``.
+    Each label follows the rejection rule in README's determinism contract;
+    the words come from one ``take``.
     """
     table = stam_table(n)
     m = min(bisect_right(table, rng.random()) + 1, len(table))
     limit = _TWO64 - _TWO64 % m
     labels = [z % m for z in rng.take(n) if z < limit]
-    while len(labels) < n:  # words ``below`` rejected: draw their retries
+    while len(labels) < n:  # words were rejected: draw their retries
         z = rng.next_u64()
         if z < limit:
             labels.append(z % m)

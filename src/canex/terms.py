@@ -14,7 +14,7 @@ the maximum to its right by more than one.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 Term = Union[int, tuple]
 Shape = Union[None, tuple]  # like Term, but a leaf is None
@@ -36,20 +36,14 @@ class RemyVectorError(ValueError):
     """An integer vector does not encode a binary tree."""
 
 
-class Spine(NamedTuple):
-    """``p1 -> p2 -> ... -> pk -> g`` split into premises and goal variable."""
-
-    premises: tuple
-    goal: int
-
-
-def spine(term: Term) -> Spine:
+def spine(term: Term) -> tuple[tuple, int]:
+    """``p1 -> p2 -> ... -> pk -> g`` split into ``(premises, goal)``."""
     premises = []
     node = term
     while isinstance(node, tuple):
         premises.append(node[0])
         node = node[1]
-    return Spine(tuple(premises), node)
+    return tuple(premises), node
 
 
 def goal_of(term: Term) -> int:

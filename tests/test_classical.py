@@ -1,16 +1,15 @@
 import itertools
 
 import pytest
-from conftest import terms_up_to_20_vars
+from conftest import left_chain, terms_up_to_20_vars
 from hypothesis import given
 
 from canex import classical
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              SEARCH_BUDGET, TAUTOLOGY, UNKNOWN,
-                             SearchBudgetExceeded, _full_witness,
-                             antilogy_valuation, evaluate, falsify_search,
-                             is_simple_antilogy, is_simple_non_tautology,
-                             tautology_status)
+                             SearchBudgetExceeded, antilogy_valuation,
+                             evaluate, falsify_search, is_simple_antilogy,
+                             is_simple_non_tautology, tautology_status)
 from canex.intuition import clean
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
@@ -90,9 +89,71 @@ class TestAntilogyWitness:
             if status.certificate != CERT_ANTILOGY:
                 continue
             antilogies += 1
-            assert status.witness == _full_witness(term, antilogy_valuation(clean(term)))
+            cleaned_valuation = antilogy_valuation(clean(term))
+            assert status.witness == {v: cleaned_valuation.get(v, True)
+                                      for v in distinct_vars(term)}
             assert evaluate(term, status.witness) is False
         assert antilogies > 100
+
+
+def eager_witness(term):
+    """The witness as ``tautology_status`` once built it for every status.
+
+    The raw term's antilogy valuation for an antilogy, the search's assignment
+    filled with True for a refutation, and None otherwise.
+    """
+    cleaned = clean(term)
+    if is_simple_antilogy(cleaned):
+        return antilogy_valuation(term)
+    try:
+        found = falsify_search(cleaned)
+    except SearchBudgetExceeded:
+        return None
+    if found is None:
+        return None
+    return {v: bool(found.get(v, True)) for v in distinct_vars(term)}
+
+
+class TestLazyWitness:
+    def test_built_only_when_read(self, monkeypatch):
+        term = random_canonical(stream_for_sample(9191, 0), 1000)
+        calls = []
+
+        def counting_distinct_vars(t):
+            calls.append(t)
+            return distinct_vars(t)
+
+        monkeypatch.setattr(classical, "distinct_vars", counting_distinct_vars)
+        status = tautology_status(term)
+        assert status.certificate == CERT_ANTILOGY
+        assert calls == []
+        witness = status.witness
+        assert len(calls) == 1
+        assert witness == antilogy_valuation(term)
+
+    def test_deep_status_compares_and_prints(self):
+        # Two equal chains that are distinct objects: tuple equality on them
+        # would raise RecursionError, so the status must not compare terms.
+        status = tautology_status(left_chain(3000))
+        assert status.certificate == CERT_ANTILOGY
+        assert status == status == tautology_status(left_chain(3000))
+        assert "antilogy" in repr(status)
+        hash(status)
+
+    def test_matches_eager_builder_exhaustive(self):
+        for n in range(1, 7):
+            for term in enumerate_canonical(n):
+                assert tautology_status(term).witness == eager_witness(term)
+
+    @pytest.mark.parametrize("n,count", [(25, 600), (100, 400), (1000, 60)])
+    def test_matches_eager_builder_sampled(self, n, count):
+        refuted = 0
+        for i in range(count):
+            term = random_canonical(stream_for_sample(4242, i), n)
+            status = tautology_status(term)
+            refuted += status.certificate == CERT_VALUATION
+            assert status.witness == eager_witness(term)
+        assert n == 1000 or refuted > 0
 
 
 class TestSimpleNonTautology:

@@ -6,8 +6,8 @@ from conftest import left_chain, terms_up_to_20_vars
 from hypothesis import given, strategies as st
 
 from canex.classical import evaluate
-from canex.intuition import (cheap_verdict, clean, is_cheap, is_easy, is_minor,
-                             is_mp, is_simple)
+from canex.intuition import (cheap_verdict, clean, is_easy, is_minor, is_mp,
+                             is_simple)
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
 from canex.sampling import random_canonical, stream_for_sample
@@ -221,10 +221,6 @@ class TestCheap:
     def test_simple_is_cheap(self):
         verdict = cheap_verdict(parse("a1->a0->a0"))
         assert verdict.cheap and verdict.simple
-
-    def test_is_cheap_shortcut(self):
-        assert is_cheap(parse("a1->a0->a0"))
-        assert not is_cheap(PEIRCE)
 
     def test_cascade_monotone_exhaustive(self):
         for n in range(1, 7):

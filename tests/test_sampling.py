@@ -37,10 +37,10 @@ class TestSplitMix64:
 
     def test_below_range_and_coverage(self):
         rng = SplitMix64(7)
-        seen = {rng.below(5) for _ in range(200)}
+        seen = {below(rng, 5) for _ in range(200)}
         assert seen == {0, 1, 2, 3, 4}
         with pytest.raises(ValueError):
-            rng.below(0)
+            below(rng, 0)
 
     def test_random_unit_interval(self):
         rng = SplitMix64(11)
@@ -261,11 +261,22 @@ def unmix64(z: int) -> int:
     return z ^ (z >> 30) ^ (z >> 60)
 
 
+def below(rng: SplitMix64, bound: int) -> int:
+    """Uniform integer in [0, bound), one word at a time, by the rejection rule."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    limit = (1 << 64) - ((1 << 64) % bound)
+    while True:
+        x = rng.next_u64()
+        if x < limit:
+            return x % bound
+
+
 def scalar_tree_vector(rng: SplitMix64, n: int) -> list[int]:
     """The sampler's tree draw as one ``below`` call per insertion."""
     v = [0] * (2 * n - 1)
     for size in range(1, n):
-        x = rng.below(4 * size - 2)
+        x = below(rng, 4 * size - 2)
         k = x >> 1
         old = v[k]
         v[k] = 2 * size - 1
@@ -282,7 +293,7 @@ def scalar_partition(rng: SplitMix64, n: int) -> ClassDescription:
     """The sampler's partition draw as one ``below`` call per label."""
     table = stam_table(n)
     m = min(bisect_right(table, rng.random()) + 1, len(table))
-    return ClassDescription(labels=tuple(rng.below(m) for _ in range(n)), num_classes=m)
+    return ClassDescription(labels=tuple(below(rng, m) for _ in range(n)), num_classes=m)
 
 
 def forced_stream(j: int, word: int) -> SplitMix64:
