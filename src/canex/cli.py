@@ -21,8 +21,8 @@ def _add_seed(parser, default=experiment.DEFAULT_SEED):
 
 def _cmd_count(args) -> int:
     n = args.n
-    row = (f"{n},{counting.catalan(n - 1)},{counting.bell(n)},"
-           f"{counting.count_canonical(n)},"
+    total = counting.count_canonical(n)
+    row = (f"{n},{counting.catalan(n - 1)},{counting.bell(n)},{total},"
            f"{repr(counting.log10_count_estimate(n)) if n >= 2 else ''}")
     print("n,catalan,bell,total,log10Estimate")
     print(row)

@@ -222,6 +222,8 @@ def _simple_rate_chunk(args) -> int:
 def simple_rate(n: int, count: int, seed: int = DEFAULT_SEED,
                 workers: int = 1) -> float:
     """Fraction of samples that are simple; same streams as run_experiment."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
     chunks = _chunks(n, seed, count, workers)
     return sum(_map_chunks(_simple_rate_chunk, chunks, workers)) / count
 
@@ -231,8 +233,13 @@ def rn_table(sizes: list[int], count: int, seed: int = DEFAULT_SEED,
     """CSV comparing the simple rate with log(n)/n across sizes.
 
     Every size's chunks go through one ``_map_chunks`` call, so at most one
-    process pool serves the whole table.
+    process pool serves the whole table.  Sizes start at 2, where log(n)/n
+    is first positive.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if any(n < 2 for n in sizes):
+        raise ValueError("rntable sizes must be at least 2")
     per_size = [_chunks(n, seed, count, workers) for n in sizes]
     hits = iter(_map_chunks(_simple_rate_chunk,
                             [c for chunks in per_size for c in chunks], workers))

@@ -141,8 +141,11 @@ class IntuitVerdict:
     easy: bool
     minor_after_clean: bool
     cheap: bool
-    cleaned_size: int
     cleaned: Term
+
+    @property
+    def cleaned_size(self) -> int:
+        return leaf_count(self.cleaned)
 
     def as_dict(self) -> dict:
         return {
@@ -171,6 +174,5 @@ def cheap_verdict(term: Term, cleaned: Term | None = None) -> IntuitVerdict:
         easy=easy,
         minor_after_clean=minor_after,
         cheap=cheap,
-        cleaned_size=leaf_count(cleaned),
         cleaned=cleaned,
     )

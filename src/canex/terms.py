@@ -14,6 +14,7 @@ the maximum to its right by more than one.
 
 from __future__ import annotations
 
+import re
 from typing import Sequence, Union
 
 Term = Union[int, tuple]
@@ -133,24 +134,17 @@ def canonicalize(tokens: Sequence) -> tuple[int, ...]:
 
 
 def is_valid_growth_string(entries: Sequence[int]) -> bool:
-    """True iff the sequence is a right-to-left restricted growth string."""
-    if not entries:
-        return False
-    highest = -1
-    for i in range(len(entries) - 1, -1, -1):
-        x = entries[i]
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            return False
-        if x > highest + 1:
-            return False
-        if x > highest:
-            highest = x
-    return True
+    """True iff the sequence is a right-to-left restricted growth string.
+
+    That is, a non-empty sequence of ints that ``canonicalize`` leaves as it
+    is.
+    """
+    return (len(entries) > 0 and all(type(x) is int for x in entries)
+            and tuple(entries) == canonicalize(entries))
 
 
 def is_canonical(term: Term) -> bool:
-    vars_ = leaf_vars(term)
-    return tuple(vars_) == canonicalize(vars_)
+    return is_valid_growth_string(leaf_vars(term))
 
 
 def canonical_form(term: Term) -> Term:
@@ -255,35 +249,17 @@ def render(term: Term) -> str:
     return "".join(out)
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, size = 0, len(text)
-    while i < size:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == "(":
-            tokens.append(("(", 0, i))
-            i += 1
-        elif ch == ")":
-            tokens.append((")", 0, i))
-            i += 1
-        elif ch == "-":
-            if text[i:i + 2] != "->":
-                raise ParseError("expected '->'", i)
-            tokens.append(("->", 0, i))
-            i += 2
-        elif ch == "a":
-            j = i + 1
-            while j < size and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected digits after 'a'", i)
-            tokens.append(("var", int(text[i + 1:j]), i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+# One token per match: a variable, an arrow, or any other non-whitespace
+# character (a parenthesis, or an error).  Whitespace matches nothing, and
+# ``findall`` skips it one character at a time; a whitespace prefix in the
+# pattern would rescan a trailing run from every position, in quadratic time.
+_TOKEN = re.compile(r"a\d+|->|[^ \t\r\n]")
+_BAD_TOKEN = {"a": "expected digits after 'a'", "-": "expected '->'"}
+
+
+def _offset(text: str, i: int) -> int:
+    """Character offset of token ``i``; only error reports need it."""
+    return list(_TOKEN.finditer(text))[i].start()
 
 
 def _fold_right(items: list) -> Term:
@@ -302,47 +278,46 @@ def parse(text: str, *, canonical: bool = True) -> Term:
     a foreign numbering raises ``CanonicalityError`` instead of being silently
     renumbered (renumber explicitly via ``canonical_form``).
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty expression", 0)
     saved: list[list] = []
-    open_positions: list[int] = []
+    open_at: list[int] = []  # token index of each unclosed '('
     current: list = []
     expect_operand = True
-    for kind, value, pos in tokens:
-        if kind == "var":
-            if not expect_operand:
-                raise ParseError("expected '->' or ')'", pos)
-            current.append(value)
-            expect_operand = False
-        elif kind == "(":
-            if not expect_operand:
-                raise ParseError("expected '->' or ')'", pos)
-            saved.append(current)
-            open_positions.append(pos)
-            current = []
-        elif kind == ")":
+    for i, tok in enumerate(tokens):
+        if tok == "->":
+            if expect_operand:
+                raise ParseError("expected a variable or '('", _offset(text, i))
+            expect_operand = True
+        elif tok == ")":
             if expect_operand or not saved:
-                raise ParseError("unbalanced or empty parentheses", pos)
+                raise ParseError("unbalanced or empty parentheses", _offset(text, i))
             inner = _fold_right(current)
             current = saved.pop()
-            open_positions.pop()
+            open_at.pop()
             current.append(inner)
-        else:  # '->'
-            if expect_operand:
-                raise ParseError("expected a variable or '('", pos)
-            expect_operand = True
+        elif len(tok) == 1 and tok != "(":
+            raise ParseError(_BAD_TOKEN.get(tok, f"unexpected character {tok!r}"),
+                             _offset(text, i))
+        elif not expect_operand:
+            raise ParseError("expected '->' or ')'", _offset(text, i))
+        elif tok == "(":
+            saved.append(current)
+            open_at.append(i)
+            current = []
+        else:
+            current.append(int(tok[1:]))
+            expect_operand = False
     if expect_operand:
         raise ParseError("dangling '->'", len(text))
     if saved:
-        raise ParseError("unclosed '('", open_positions[-1])
+        raise ParseError("unclosed '('", _offset(text, open_at[-1]))
     term = _fold_right(current)
-    if canonical:
-        vars_ = leaf_vars(term)
-        if tuple(vars_) != canonicalize(vars_):
-            raise CanonicalityError(
-                "variable numbering is not canonical (rightmost variable is a0 and "
-                "new variables are numbered right to left); use canonical_form to renumber")
+    if canonical and not is_canonical(term):
+        raise CanonicalityError(
+            "variable numbering is not canonical (rightmost variable is a0 and "
+            "new variables are numbered right to left); use canonical_form to renumber")
     return term
 
 
@@ -386,7 +361,7 @@ def parse_shape_string(text: str) -> Shape:
 def to_json_obj(term: Term) -> dict:
     """JSON object form ``{"rgs": [...], "shape": "..."}`` of a canonical term."""
     vars_ = leaf_vars(term)
-    if tuple(vars_) != canonicalize(vars_):
+    if not is_valid_growth_string(vars_):
         raise CanonicalityError("only canonical terms have a JSON form")
     return {"rgs": vars_, "shape": shape_string(shape_of(term))}
 

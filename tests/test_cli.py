@@ -30,6 +30,12 @@ class TestCount:
         assert code == 0
         assert out.strip().split("\n")[1] == "1,1,1,1,"
 
+    def test_n_zero_rejected(self, capsys):
+        code, out, err = run_cli(["count", "--n", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: expressions have at least one leaf\n"
+
 
 class TestSample:
     def test_deterministic_lines(self, capsys):
@@ -134,6 +140,17 @@ class TestRnTable:
         assert code == 0
         assert out == out_csv.read_text()
         assert len(out.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("args, message", [
+        (["--sizes", "1"], "rntable sizes must be at least 2"),
+        (["--sizes", "4,1", "--count", "5"], "rntable sizes must be at least 2"),
+        (["--sizes", "4", "--count", "0"], "count must be at least 1"),
+    ])
+    def test_bad_sizes_and_counts_rejected(self, capsys, args, message):
+        code, out, err = run_cli(["rntable", *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestInstalledEntryPoint:

@@ -193,6 +193,10 @@ class TestSimpleRateAndTable:
     def test_worker_independence(self):
         assert simple_rate(6, 300, 5, workers=1) == simple_rate(6, 300, 5, workers=2)
 
+    def test_zero_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            simple_rate(5, 0)
+
     def test_rn_table_layout(self):
         text = rn_table([5, 10], count=200, seed=3)
         lines = text.strip().split("\n")

@@ -5,6 +5,7 @@ import pytest
 from conftest import left_chain, terms_up_to_20_vars
 from hypothesis import given, strategies as st
 
+from canex import intuition
 from canex.classical import evaluate
 from canex.intuition import (cheap_verdict, clean, is_easy, is_minor, is_mp,
                              is_simple)
@@ -211,6 +212,19 @@ class TestCheap:
         assert verdict.cleaned == parse("a1->a1", canonical=False)
         assert verdict.cleaned_size == 2
         assert prove_intuitionistic(term)
+
+    def test_cleaned_size_is_counted_when_read(self, monkeypatch):
+        calls = []
+
+        def counting_leaf_count(term):
+            calls.append(term)
+            return leaf_count(term)
+
+        monkeypatch.setattr(intuition, "leaf_count", counting_leaf_count)
+        verdict = cheap_verdict(parse("((a0->a0)->a1)->a1", canonical=False))
+        assert calls == []
+        assert verdict.cleaned_size == 2
+        assert len(calls) == 1
 
     def test_peirce_not_cheap(self):
         verdict = cheap_verdict(PEIRCE)

@@ -1,7 +1,8 @@
 import itertools
+import time
 
 import pytest
-from conftest import terms_up_to_20_vars
+from conftest import left_chain, terms_up_to_20_vars
 from hypothesis import given
 
 from canex.terms import (CanonicalityError, ParseError, RemyVectorError,
@@ -11,8 +12,29 @@ from canex.terms import (CanonicalityError, ParseError, RemyVectorError,
                          is_valid_growth_string, leaf_count, leaf_vars, parse,
                          render, shape_of, shape_string, spine, to_json_obj)
 from canex.reference import enumerate_canonical
+from canex.sampling import random_canonical, stream_for_sample
 
 TEN_LEAF_TEXT = "(a0->a2)->(((a2->a0)->a2)->a0)->((a1->a0)->a0)->a0"
+
+# Texts with exactly one error, each with its ParseError message and offset.
+SINGLE_ERRORS = [
+    ("a1->", "dangling '->'", 4),
+    ("a1->->a0", "expected a variable or '('", 4),
+    ("(a1->a0", "unclosed '('", 0),
+    ("a1->b0", "unexpected character 'b'", 4),
+    ("", "empty expression", 0),
+    ("a1->()", "unbalanced or empty parentheses", 5),
+    ("a1 a0", "expected '->' or ')'", 3),
+    ("a", "expected digits after 'a'", 0),
+    ("a1-a0", "expected '->'", 2),
+    ("a1->a0)", "unbalanced or empty parentheses", 6),
+    ("((a0)", "unclosed '('", 0),
+    ("a1->(a0 a0)", "expected '->' or ')'", 8),
+    (" \t", "empty expression", 0),
+    ("\x0ca0", "unexpected character '\\x0c'", 0),
+    ("(", "dangling '->'", 1),
+    ("a0)(", "unbalanced or empty parentheses", 2),
+]
 
 
 def reference_renumber(tokens):
@@ -82,6 +104,9 @@ class TestGrowthStrings:
         assert not is_valid_growth_string([0, 1])   # rightmost must be 0
         assert not is_valid_growth_string([-1, 0])
         assert not is_valid_growth_string([True, 0])
+        assert not is_valid_growth_string([0.0])
+        assert not is_valid_growth_string([1.0, 0])
+        assert not is_valid_growth_string([0, 0.0])
 
 
 class TestDecodeRemyVector:
@@ -182,25 +207,42 @@ class TestRenderParse:
             for term in enumerate_canonical(n):
                 assert parse(render(term)) == term
 
+    @pytest.mark.parametrize("n", [25, 100, 300, 1000])
+    def test_round_trip_sampled(self, n):
+        # Texts, not terms, are compared: == on deep tuples recurses.
+        for i in range(50):
+            text = render(random_canonical(stream_for_sample(77, i), n))
+            assert render(parse(text)) == text
+
+    @pytest.mark.parametrize("depth", [1500, 3000])
+    def test_round_trip_deep_chain(self, depth):
+        text = render(left_chain(depth))
+        assert render(parse(text)) == text
+
     def test_syntax_error_position(self):
+        for text, message, position in SINGLE_ERRORS:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (str(err.value), err.value.position) == (
+                f"{message} (position {position})", position), text
+
+    def test_first_error_in_reading_order(self):
         with pytest.raises(ParseError) as err:
-            parse("a1->")
+            parse("a1->->b")
         assert err.value.position == 4
+        assert str(err.value) == "expected a variable or '(' (position 4)"
+
+    def test_superscript_digit_is_a_parse_error(self):
+        # '²' passes str.isdigit but is no decimal digit, so 'a²' names no variable.
         with pytest.raises(ParseError) as err:
-            parse("a1->->a0")
-        assert err.value.position == 4
-        with pytest.raises(ParseError) as err:
-            parse("(a1->a0")
+            parse("a²")
         assert err.value.position == 0
-        with pytest.raises(ParseError) as err:
-            parse("a1->b0")
-        assert err.value.position == 4
-        with pytest.raises(ParseError):
-            parse("")
-        with pytest.raises(ParseError):
-            parse("a1->()")
-        with pytest.raises(ParseError):
-            parse("a1 a0")
+
+    def test_long_whitespace_runs_read_in_linear_time(self):
+        blank = " \t\r\n" * 25000
+        started = time.perf_counter()
+        assert parse(blank + "a1->" + blank + "a0" + blank) == (1, 0)
+        assert time.perf_counter() - started < 5.0
 
     def test_non_canonical_rejected_distinctly(self):
         with pytest.raises(CanonicalityError):
