@@ -177,12 +177,6 @@ class TautologyStatus:
             return None
         return {v: self.falsifier.get(v, True) for v in distinct_vars(self.term)}
 
-    def as_dict(self) -> dict:
-        out = {"status": self.status, "certificate": self.certificate}
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
-
 
 def tautology_status(term: Term, *, cleaned: Term | None = None) -> TautologyStatus:
     """Decide whether ``term`` is a classical tautology.

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -43,8 +45,14 @@ class Classification:
     simple_non_taut: bool
 
     def as_record(self) -> dict:
-        record = self.verdict.as_dict()
-        record.update(self.taut.as_dict())
+        """The JSONL verdict keys, in output order; ``reason`` only when set."""
+        v, t = self.verdict, self.taut
+        record = {"simple": v.simple, "mp": v.mp, "easy": v.easy,
+                  "minorAfterClean": v.minor_after_clean, "cheap": v.cheap,
+                  "cleanedSize": v.cleaned_size, "status": t.status,
+                  "certificate": t.certificate}
+        if t.reason is not None:
+            record["reason"] = t.reason
         record["gkzSimpleNonTaut"] = self.simple_non_taut
         return record
 
@@ -73,11 +81,6 @@ class ExperimentConfig:
             raise ValueError("count must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-
-
-_COUNT_FIELDS = ("n_simple", "n_mp", "n_easy", "n_cheap", "n_tautology",
-                 "n_cheap_and_taut", "n_cheap_unknown", "n_simple_non_taut",
-                 "n_antilogy", "n_unknown")
 
 
 @dataclass
@@ -125,9 +128,10 @@ class ExperimentReport:
         return ",".join(str(c) for c in cells)
 
 
-def _classify_chunk(args) -> tuple[dict, list]:
+def _classify_chunk(args) -> tuple[Counter, list]:
+    """Counts keyed by ``ExperimentReport`` field, and the chunk's records."""
     n, seed, lo, hi, dump = args
-    counts = dict.fromkeys(_COUNT_FIELDS, 0)
+    counts = Counter()
     records = []
     for index in range(lo, hi):
         term = random_canonical(stream_for_sample(seed, index), n)
@@ -171,7 +175,8 @@ def _map_chunks(chunk_fn, chunks: list[tuple], workers: int) -> list:
     """``chunk_fn`` over ``chunks``; in this process for one worker, else on one pool."""
     if workers == 1:
         return [chunk_fn(c) for c in chunks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Under fork a pool starts every process at once: cap them at chunks and CPUs.
+    with ProcessPoolExecutor(min(workers, len(chunks), os.cpu_count() or 1)) as pool:
         return list(pool.map(chunk_fn, chunks))
 
 
@@ -185,15 +190,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     dump = cfg.dump_jsonl is not None
     chunks = _chunks(cfg.n, cfg.seed, cfg.count, cfg.workers, dump)
     results = _map_chunks(_classify_chunk, chunks, cfg.workers)
-    report = ExperimentReport(n=cfg.n, count=cfg.count, seed=cfg.seed)
-    all_records = []
-    for counts, records in results:
-        for name, value in counts.items():
-            setattr(report, name, getattr(report, name) + value)
-        all_records.extend(records)
-    report.records = all_records
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
+    total = sum((counts for counts, _ in results), Counter())
+    return ExperimentReport(
+        n=cfg.n, count=cfg.count, seed=cfg.seed, **total,
+        records=[record for _, records in results for record in records],
+        elapsed_seconds=time.perf_counter() - started)
 
 
 def emit_report(report: ExperimentReport, out_csv: Optional[str] = None,
@@ -219,33 +220,36 @@ def _simple_rate_chunk(args) -> int:
     return hits
 
 
+def _simple_rates(sizes: list[int], count: int, seed: int,
+                  workers: int) -> list[float]:
+    """Simple rate at each size; one ``_map_chunks`` call, so at most one pool."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    per_size = [_chunks(n, seed, count, workers) for n in sizes]
+    hits = iter(_map_chunks(_simple_rate_chunk,
+                            [c for chunks in per_size for c in chunks], workers))
+    return [sum(next(hits) for _ in chunks) / count for chunks in per_size]
+
+
 def simple_rate(n: int, count: int, seed: int = DEFAULT_SEED,
                 workers: int = 1) -> float:
     """Fraction of samples that are simple; same streams as run_experiment."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    chunks = _chunks(n, seed, count, workers)
-    return sum(_map_chunks(_simple_rate_chunk, chunks, workers)) / count
+    return _simple_rates([n], count, seed, workers)[0]
 
 
 def rn_table(sizes: list[int], count: int, seed: int = DEFAULT_SEED,
              workers: int = 1) -> str:
     """CSV comparing the simple rate with log(n)/n across sizes.
 
-    Every size's chunks go through one ``_map_chunks`` call, so at most one
-    process pool serves the whole table.  Sizes start at 2, where log(n)/n
-    is first positive.
+    Sizes start at 2, where log(n)/n is first positive.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if any(n < 2 for n in sizes):
+    # A bad count is reported first, by _simple_rates.
+    if count >= 1 and any(n < 2 for n in sizes):
         raise ValueError("rntable sizes must be at least 2")
-    per_size = [_chunks(n, seed, count, workers) for n in sizes]
-    hits = iter(_map_chunks(_simple_rate_chunk,
-                            [c for chunks in per_size for c in chunks], workers))
     lines = [RNTABLE_COLUMNS]
-    for n, chunks in zip(sizes, per_size):
-        rate = sum(next(hits) for _ in chunks) / count
+    for n, rate in zip(sizes, _simple_rates(sizes, count, seed, workers)):
         reference = math.log(n) / n
         lines.append(",".join([
             str(n), str(count), str(seed), repr(reference), repr(rate),

@@ -147,16 +147,6 @@ class IntuitVerdict:
     def cleaned_size(self) -> int:
         return leaf_count(self.cleaned)
 
-    def as_dict(self) -> dict:
-        return {
-            "simple": self.simple,
-            "mp": self.mp,
-            "easy": self.easy,
-            "minorAfterClean": self.minor_after_clean,
-            "cheap": self.cheap,
-            "cleanedSize": self.cleaned_size,
-        }
-
 
 def cheap_verdict(term: Term, cleaned: Term | None = None) -> IntuitVerdict:
     """Full cascade: cheap means easy-or-minor after cleaning."""

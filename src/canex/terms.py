@@ -307,7 +307,10 @@ def parse(text: str, *, canonical: bool = True) -> Term:
             open_at.append(i)
             current = []
         else:
-            current.append(int(tok[1:]))
+            try:
+                current.append(int(tok[1:]))
+            except ValueError:  # more digits than int() reads
+                raise ParseError("variable index too long", _offset(text, i)) from None
             expect_operand = False
     if expect_operand:
         raise ParseError("dangling '->'", len(text))

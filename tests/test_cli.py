@@ -91,6 +91,11 @@ class TestClassify:
         assert code == 2
         assert "position" in err
 
+    def test_long_variable_index(self, capsys):
+        code, out, err = run_cli(["classify", "--expr", "a" + "1" * 5000 + "->a0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: variable index too long (position 0)\n"
+
 
 class TestEnumerate:
     def test_two_leaves(self, capsys):
@@ -145,6 +150,8 @@ class TestRnTable:
         (["--sizes", "1"], "rntable sizes must be at least 2"),
         (["--sizes", "4,1", "--count", "5"], "rntable sizes must be at least 2"),
         (["--sizes", "4", "--count", "0"], "count must be at least 1"),
+        (["--sizes", "4", "--workers", "0"], "workers must be at least 1"),
+        (["--sizes", "1", "--count", "0"], "count must be at least 1"),
     ])
     def test_bad_sizes_and_counts_rejected(self, capsys, args, message):
         code, out, err = run_cli(["rntable", *args], capsys)

@@ -1,15 +1,19 @@
 import json
+import os
 
 import pytest
 from conftest import left_chain
 
-from canex import experiment
+from canex import classical, experiment
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              TAUTOLOGY, evaluate)
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
                               simple_rate)
 from canex.terms import canonical_form, parse, render
+
+RECORD_KEYS = ["simple", "mp", "easy", "minorAfterClean", "cheap", "cleanedSize",
+               "status", "certificate", "gkzSimpleNonTaut"]
 
 
 class TestClassify:
@@ -33,9 +37,15 @@ class TestClassify:
 
     def test_record_keys(self):
         record = classify(parse("a1->a0")).as_record()
-        assert {"simple", "mp", "easy", "minorAfterClean", "cheap",
-                "cleanedSize", "status", "certificate",
-                "gkzSimpleNonTaut"} <= set(record)
+        assert list(record) == RECORD_KEYS
+        assert record["cleanedSize"] == 2
+
+    def test_unknown_record_puts_reason_before_gkz(self, monkeypatch):
+        monkeypatch.setattr(classical, "SEARCH_BUDGET", 1)
+        record = classify(parse("((a0->a1)->a0)->a0")).as_record()
+        assert record["status"] == "unknown"
+        assert list(record) == RECORD_KEYS[:-1] + ["reason", "gkzSimpleNonTaut"]
+        assert record["reason"].startswith("falsifier search exhausted")
 
 
 class TestDeepInput:
@@ -217,3 +227,39 @@ class TestSimpleRateAndTable:
         text = rn_table([5, 10, 20], count=150, seed=4, workers=2)
         assert len(opened) == 1
         assert text == rn_table([5, 10, 20], count=150, seed=4, workers=1)
+
+    def test_simple_rate_is_its_rn_table_cell(self):
+        sizes = [3, 8, 21]
+        rows = rn_table(sizes, count=120, seed=6).strip().split("\n")[1:]
+        for n, row in zip(sizes, rows):
+            assert float(row.split(",")[4]) == simple_rate(n, 120, 6)
+
+
+class TestPoolSize:
+    def test_pool_capped_at_chunks_and_cpus(self, monkeypatch):
+        # A stand-in pool that starts no process: a real one with a large
+        # worker count would, under fork, start them all at the first submit.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        report = run_experiment(ExperimentConfig(n=6, count=3, seed=2, workers=10 ** 6))
+        assert report.csv_row() == run_experiment(
+            ExperimentConfig(n=6, count=3, seed=2)).csv_row()
+        text = rn_table([5, 9], count=2, seed=4, workers=10 ** 6)
+        assert text == rn_table([5, 9], count=2, seed=4)
+        # 3 chunks of one sample each, then 2 sizes of 2 chunks.
+        cpus = os.cpu_count() or 1
+        assert sizes == [min(3, cpus), min(4, cpus)]

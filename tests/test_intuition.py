@@ -248,11 +248,6 @@ class TestCheap:
                 if verdict.minor_after_clean:
                     assert verdict.cheap
 
-    def test_verdict_dict_keys(self):
-        verdict = cheap_verdict(parse("a1->a0->a0"))
-        assert set(verdict.as_dict()) == {
-            "simple", "mp", "easy", "minorAfterClean", "cheap", "cleanedSize"}
-
 
 @given(terms_up_to_20_vars(), st.lists(st.booleans(), min_size=20, max_size=20))
 def test_clean_preserves_truth(term, bits):

@@ -238,6 +238,16 @@ class TestRenderParse:
             parse("a²")
         assert err.value.position == 0
 
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_long_variable_index_is_a_parse_error(self, canonical):
+        # int() refuses a string of more than a few thousand digits.
+        for text, position in (("a" + "1" * 5000 + "->a0", 0),
+                               ("(a1->a" + "2" * 5000 + ")->a0", 5)):
+            with pytest.raises(ParseError) as err:
+                parse(text, canonical=canonical)
+            assert (str(err.value), err.value.position) == (
+                f"variable index too long (position {position})", position)
+
     def test_long_whitespace_runs_read_in_linear_time(self):
         blank = " \t\r\n" * 25000
         started = time.perf_counter()
