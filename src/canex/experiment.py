@@ -18,12 +18,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import sampling
 from .classical import TAUTOLOGY, UNKNOWN, CERT_ANTILOGY, \
-    TautologyStatus, is_simple_antilogy, is_simple_non_tautology, \
-    tautology_status
-from .intuition import IntuitVerdict, cheap_verdict, clean, is_simple
+    TautologyStatus, is_simple_non_tautology, tautology_status
+from .intuition import IntuitVerdict, cheap_verdict, clean
 from .sampling import random_canonical, stream_for_sample
-from .terms import Term, render
+from .terms import Term, canonicalize, decode_labelled_vector, render, \
+    spine_filters
+# Not called here; perfbench's tracer times experiment.is_simple, so the
+# name stays importable from this module.
+from .intuition import is_simple  # noqa: F401
 
 DEFAULT_SEED = 12358
 
@@ -128,23 +132,40 @@ class ExperimentReport:
         return ",".join(str(c) for c in cells)
 
 
+def _raw_sample(n: int, seed: int, index: int) -> tuple[list, tuple]:
+    """Sample ``index``'s insertion vector and raw class labels, in stream order.
+
+    The draws go through the ``sampling`` module, where the tracer times them.
+    """
+    rng = stream_for_sample(seed, index)
+    vector = sampling.random_tree_vector(rng, n)
+    return vector, sampling.random_partition(rng, n).labels
+
+
 def _classify_chunk(args) -> tuple[Counter, list]:
     """Counts keyed by ``ExperimentReport`` field, and the chunk's records."""
     n, seed, lo, hi, dump = args
     counts = Counter()
     records = []
     for index in range(lo, hi):
-        term = random_canonical(stream_for_sample(seed, index), n)
-        if not dump and is_simple_antilogy(term):
-            # Settled without clean, which only the dump's cleanedSize needs.
-            # Cleaning keeps every goal and every bare-variable premise, so a
-            # raw antilogy is a cleaned antilogy: no tautology, hence not
-            # cheap.  It is not simple (a premise equal to the goal defeats
-            # the filter) nor mp (a premise v -> goal passes it only when v
-            # is the goal), so not easy either.
-            counts["n_antilogy"] += 1
-            counts["n_simple_non_taut"] += is_simple_non_tautology(term)
-            continue
+        if dump:
+            term = random_canonical(stream_for_sample(seed, index), n)
+        else:
+            vector, labels = _raw_sample(n, seed, index)
+            _, antilogy, simple_non_taut = spine_filters(vector, labels)
+            if antilogy:
+                # Settled with no term built, and without clean, which only
+                # the dump's cleanedSize needs.  Cleaning keeps every goal and
+                # every bare-variable premise, so a raw antilogy is a cleaned
+                # antilogy: no tautology, hence not cheap.  It is not simple (a
+                # premise equal to the goal defeats the filter) nor mp (a
+                # premise v -> goal passes it only when v is the goal), so not
+                # easy either.
+                counts["n_antilogy"] += 1
+                counts["n_simple_non_taut"] += simple_non_taut
+                continue
+            # The term random_canonical would return from the same words.
+            term = decode_labelled_vector(vector, canonicalize(labels))
         cls = classify(term)
         v, t = cls.verdict, cls.taut
         counts["n_simple"] += v.simple
@@ -164,9 +185,18 @@ def _classify_chunk(args) -> tuple[Counter, list]:
     return counts, records
 
 
+def _usable_workers(workers: int) -> int:
+    """The processes a run can keep busy: the requested count, capped at the CPUs."""
+    return min(workers, os.cpu_count() or 1)
+
+
 def _chunks(n: int, seed: int, count: int, workers: int, *extra) -> list[tuple]:
-    """Chunk arguments ``(n, seed, lo, hi, *extra)`` covering samples 0..count-1."""
-    size = max(1, math.ceil(count / max(workers * 4, 1)))
+    """Chunk arguments ``(n, seed, lo, hi, *extra)`` covering samples 0..count-1.
+
+    Four chunks per usable worker, so a large ``workers`` does not cut the
+    run into many small chunks that the same few processes pickle one by one.
+    """
+    size = max(1, math.ceil(count / (_usable_workers(workers) * 4)))
     return [(n, seed, lo, min(lo + size, count), *extra)
             for lo in range(0, count, size)]
 
@@ -176,7 +206,7 @@ def _map_chunks(chunk_fn, chunks: list[tuple], workers: int) -> list:
     if workers == 1:
         return [chunk_fn(c) for c in chunks]
     # Under fork a pool starts every process at once: cap them at chunks and CPUs.
-    with ProcessPoolExecutor(min(workers, len(chunks), os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(min(_usable_workers(workers), len(chunks))) as pool:
         return list(pool.map(chunk_fn, chunks))
 
 
@@ -184,7 +214,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Deterministic for a fixed config, whatever the worker count.
 
     Without a dump, samples that are antilogies on the raw term are counted
-    without ``clean``; the counts are those of the full classification.
+    from the insertion vector and the raw class labels, with no term built
+    and no ``clean``; the counts are those of the full classification.
     """
     started = time.perf_counter()
     dump = cfg.dump_jsonl is not None
@@ -212,11 +243,11 @@ def emit_report(report: ExperimentReport, out_csv: Optional[str] = None,
 
 
 def _simple_rate_chunk(args) -> int:
+    """Simple samples in the chunk, read from the vector and labels; no term is built."""
     n, seed, lo, hi = args
     hits = 0
     for index in range(lo, hi):
-        term = random_canonical(stream_for_sample(seed, index), n)
-        hits += is_simple(term)
+        hits += spine_filters(*_raw_sample(n, seed, index))[0]
     return hits
 
 

@@ -120,11 +120,13 @@ def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
         raise ValueError("trees have at least one leaf")
     v = [0] * (2 * n - 1)
     words = rng.take(n - 1)
+    # Every bound is below 4n, so no word up to 2**64 - 4n is ever rejected.
+    unrejectable = max(words, default=0) <= _TWO64 - 4 * n
     size = 1  # leaves before the next insertion
     for z in words:
         bound = 4 * size - 2
         x = z % bound
-        if z - x > _TWO64 - bound:
+        if not unrejectable and z - x > _TWO64 - bound:
             # Rejected: retry with the next word.  The words left in the
             # list come next in the stream, and the appended one follows them.
             words.append(rng.next_u64())

@@ -227,6 +227,84 @@ def decode_labelled_vector(entries: Sequence[int], labels: Sequence[int]) -> Ter
     return done[0]
 
 
+def _leaves_under(entries: Sequence[int], node: int, other: int, total: int) -> int:
+    """Leaves under ``node``, given that ``node`` and ``other`` hold ``total``.
+
+    Walks both subtrees in lockstep, one node each per step, and stops when
+    the smaller one ends: a subtree of k leaves has 2k - 1 nodes.
+    """
+    mine = [node]
+    theirs = [other]
+    steps = 0
+    while True:
+        steps += 1
+        label = mine.pop()
+        if label & 1:
+            mine.append(entries[label])
+            mine.append(entries[label + 1])
+        elif not mine:
+            return (steps + 1) >> 1
+        label = theirs.pop()
+        if label & 1:
+            theirs.append(entries[label])
+            theirs.append(entries[label + 1])
+        elif not theirs:
+            return total - ((steps + 1) >> 1)
+
+
+def _simple_at(entries: Sequence[int], labels: Sequence, node: int, start: int,
+               size: int) -> bool:
+    """``is_simple`` of the subtree at ``node``: ``size`` leaves from ``start``."""
+    goal = labels[start + size - 1]
+    while node & 1:
+        premise = entries[node]
+        node = entries[node + 1]
+        if not premise & 1:
+            if labels[start] == goal:
+                return True
+            start += 1
+            size -= 1
+        else:
+            k = _leaves_under(entries, premise, node, size)
+            start += k
+            size -= k
+    return False
+
+
+def spine_filters(entries: Sequence[int], labels: Sequence) -> tuple[bool, bool, bool]:
+    """``is_simple``, ``is_simple_antilogy`` and ``is_simple_non_tautology``
+    of ``decode_labelled_vector(entries, labels)``, without building it.
+
+    The three filters only compare leaf labels for equality, which
+    ``canonicalize`` preserves, so ``labels`` may be raw class labels rather
+    than a growth string.  Walking down the spine, each premise's first leaf
+    is the leaf after the previous premise; its goal is its last leaf, and
+    its leaf count comes from ``_leaves_under`` against its tail.  A premise
+    whose goal is the term's goal gets the same walk one level down, for
+    ``is_simple``.  The vector is trusted as in ``decode_labelled_vector``.
+    """
+    n = len(labels)
+    if len(entries) != 2 * n - 1:
+        raise ValueError(f"{n} labels for a vector of {len(entries)} entries")
+    goal = labels[-1]
+    antilogy = non_taut = True
+    node = entries[0]
+    start = 0  # first leaf of the premise at node's left
+    rest = n  # leaves under node
+    while node & 1:
+        premise = entries[node]
+        node = entries[node + 1]
+        size = _leaves_under(entries, premise, node, rest) if premise & 1 else 1
+        if labels[start + size - 1] == goal:
+            if size == 1:  # the goal itself: simple, so neither antilogy kind
+                return True, False, False
+            non_taut = False
+            antilogy = antilogy and _simple_at(entries, labels, premise, start, size)
+        start += size
+        rest -= size
+    return False, antilogy, non_taut
+
+
 def render(term: Term) -> str:
     """Expression text with minimal parentheses; ``->`` associates right."""
     out = []

@@ -6,6 +6,8 @@ Strategies shared by several test modules live here too; import them with
 
 from hypothesis import settings, strategies as st
 
+from canex.sampling import SplitMix64
+
 settings.register_profile("deterministic", derandomize=True, max_examples=200,
                           deadline=None)
 settings.load_profile("deterministic")
@@ -32,3 +34,22 @@ def left_chain(depth: int, start: int = 1, skip: int = 0):
     for i in range(skip, depth):
         term = (term, (depth - 1 - i) % 2)
     return term
+
+
+class ScriptedDraws(SplitMix64):
+    """Answers ``take`` with a fixed list of draws.
+
+    Each scripted x lies in [0, bound), so the sampler accepts it and reads
+    ``x % bound == x``; a retry (``next_u64``) would mean one was out of range.
+    """
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def take(self, k):
+        assert k == len(self.draws)
+        return list(self.draws)
+
+    def next_u64(self):
+        raise AssertionError("a scripted draw was out of range")

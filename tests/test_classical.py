@@ -1,8 +1,8 @@
 import itertools
 
 import pytest
-from conftest import left_chain, terms_up_to_20_vars
-from hypothesis import given
+from conftest import ScriptedDraws, left_chain, terms_up_to_20_vars
+from hypothesis import given, strategies as st
 
 from canex import classical
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
@@ -10,11 +10,13 @@ from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              SearchBudgetExceeded, antilogy_valuation,
                              evaluate, falsify_search, is_simple_antilogy,
                              is_simple_non_tautology, tautology_status)
-from canex.intuition import clean
+from canex.intuition import clean, is_simple
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
-from canex.sampling import random_canonical, stream_for_sample
-from canex.terms import distinct_vars, leaf_count, parse
+from canex.sampling import (random_canonical, random_partition,
+                            random_tree_vector, stream_for_sample)
+from canex.terms import (canonicalize, decode_labelled_vector, distinct_vars,
+                         leaf_count, parse, spine_filters)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
 
@@ -75,6 +77,80 @@ class TestSimpleAntilogy:
                 if is_simple_antilogy(term):
                     assert evaluate(term, antilogy_valuation(term)) is False
                     assert not truth_table_tautology(term)
+
+
+def insertion_vectors(n):
+    """Every insertion vector of an n-leaf tree: one per sequence of accepted draws."""
+    bounds = [range(4 * size - 2) for size in range(1, n)]
+    return [random_tree_vector(ScriptedDraws(xs), n) for xs in itertools.product(*bounds)]
+
+
+def built_filters(vector, labels):
+    """The three spine filters on the term the sampler builds from ``labels``."""
+    term = decode_labelled_vector(vector, canonicalize(labels))
+    return is_simple(term), is_simple_antilogy(term), is_simple_non_tautology(term)
+
+
+class TestSpineFilters:
+    """``spine_filters`` on the vector and raw labels, against the built term."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_vector_and_growth_string(self, n):
+        growths = sorted(set(map(canonicalize, itertools.product(range(n), repeat=n))))
+        vectors = insertion_vectors(n)
+        assert len(vectors) == len(set(map(tuple, vectors)))
+        for vector in vectors:
+            for growth in growths:
+                expected = built_filters(vector, growth)
+                m = max(growth) + 1
+                # The same partition under other class names: reversed with
+                # gaps, and rotated onto negative names.
+                reversed_gapped = [10 * (m - c) + 3 for c in growth]
+                rotated = [-7 * ((c + 1) % m) - 1 for c in growth]
+                assert spine_filters(vector, growth) == expected
+                assert spine_filters(vector, reversed_gapped) == expected
+                assert spine_filters(vector, rotated) == expected
+
+    def test_every_vector_at_six(self):
+        labels = [[0] * 6, list(range(6))] + [
+            list(random_partition(stream_for_sample(6, i), 6).labels) for i in range(3)]
+        vectors = insertion_vectors(6)
+        assert len(vectors) == 2 * 6 * 10 * 14 * 18
+        for vector in vectors:
+            for raw in labels:
+                assert spine_filters(vector, raw) == built_filters(vector, raw)
+
+    @pytest.mark.parametrize("n,count", [(7, 1500), (25, 800), (100, 400), (300, 150),
+                                         (1000, 40), (3000, 12)])
+    def test_sampled_raw_labels(self, n, count):
+        # The term built from the growth string is random_canonical's.
+        for i in range(count):
+            rng = stream_for_sample(2718, i)
+            vector = random_tree_vector(rng, n)
+            labels = random_partition(rng, n).labels
+            term = decode_labelled_vector(vector, canonicalize(labels))
+            assert term == random_canonical(stream_for_sample(2718, i), n)
+            assert spine_filters(vector, labels) == (
+                is_simple(term), is_simple_antilogy(term), is_simple_non_tautology(term))
+
+    def test_label_count_must_fit_the_vector(self):
+        with pytest.raises(ValueError):
+            spine_filters([1, 2, 0], [0])
+
+
+@st.composite
+def vectors_and_labels(draw, max_leaves=40):
+    """An insertion vector from drawn insertions, and labels from four names."""
+    n = draw(st.integers(1, max_leaves))
+    draws = [draw(st.integers(0, 4 * size - 3)) for size in range(1, n)]
+    labels = draw(st.lists(st.sampled_from([0, 5, -2, 9]), min_size=n, max_size=n))
+    return random_tree_vector(ScriptedDraws(draws), n), labels
+
+
+@given(vectors_and_labels())
+def test_spine_filters_agree_with_the_built_term(case):
+    vector, labels = case
+    assert spine_filters(vector, labels) == built_filters(vector, labels)
 
 
 class TestAntilogyWitness:

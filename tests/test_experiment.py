@@ -6,11 +6,12 @@ from conftest import left_chain
 
 from canex import classical, experiment
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
-                             TAUTOLOGY, evaluate)
+                             TAUTOLOGY, evaluate, is_simple_antilogy)
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
                               simple_rate)
-from canex.terms import canonical_form, parse, render
+from canex.sampling import random_canonical, stream_for_sample
+from canex.terms import canonical_form, decode_labelled_vector, parse, render
 
 RECORD_KEYS = ["simple", "mp", "easy", "minorAfterClean", "cheap", "cleanedSize",
                "status", "certificate", "gkzSimpleNonTaut"]
@@ -263,3 +264,49 @@ class TestPoolSize:
         # 3 chunks of one sample each, then 2 sizes of 2 chunks.
         cpus = os.cpu_count() or 1
         assert sizes == [min(3, cpus), min(4, cpus)]
+
+
+class TestCountPathBuildsOnlyUnsettledTerms:
+    def test_terms_built(self, monkeypatch):
+        built = []
+
+        def counting_build(vector, labels):
+            built.append(len(labels))
+            return decode_labelled_vector(vector, labels)
+
+        def no_sample(rng, n):
+            raise AssertionError("the count path drew a whole term")
+
+        monkeypatch.setattr(experiment, "decode_labelled_vector", counting_build)
+        monkeypatch.setattr(experiment, "random_canonical", no_sample)
+        rn_table([2, 3, 25, 100, 1000], count=40, seed=5)
+        assert built == []
+
+        n, count, seed = 25, 400, 5
+        run_experiment(ExperimentConfig(n=n, count=count, seed=seed))
+        settled = sum(is_simple_antilogy(random_canonical(stream_for_sample(seed, i), n))
+                      for i in range(count))
+        assert 0 < settled < count
+        assert built == [n] * (count - settled)
+
+
+class TestChunkPlan:
+    def test_chunks_planned_from_the_usable_workers(self, monkeypatch):
+        # No pool is started: the chunks are mapped in this process.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        planned = []
+
+        def in_process(chunk_fn, chunks, workers):
+            planned.append(chunks)
+            return [chunk_fn(c) for c in chunks]
+
+        monkeypatch.setattr(experiment, "_map_chunks", in_process)
+        wide = run_experiment(ExperimentConfig(n=5, count=4000, seed=3, workers=64))
+        narrow = run_experiment(ExperimentConfig(n=5, count=4000, seed=3, workers=2))
+        assert wide.csv_row() == narrow.csv_row()
+        assert planned[0] == planned[1]
+        assert len(planned[0]) == 8
+        assert rn_table([5, 9], 4000, seed=3, workers=64) == \
+            rn_table([5, 9], 4000, seed=3, workers=2)
+        assert planned[2] == planned[3]
+        assert len(planned[2]) == 16

@@ -3,6 +3,7 @@ from bisect import bisect_right
 from collections import Counter
 
 import pytest
+from conftest import ScriptedDraws
 
 from canex.counting import bell, count_canonical, stam_table
 from canex.reference import all_shapes, chi_square, enumerate_canonical
@@ -69,49 +70,30 @@ class TestSplitMix64:
         assert [derived.next_u64() for _ in range(5)] == [expected.next_u64() for _ in range(5)]
 
 
-class _ScriptedDraws(SplitMix64):
-    """Answers ``take`` with a fixed list of draws.
-
-    Each scripted x lies in [0, bound), so the sampler accepts it and reads
-    ``x % bound == x``; a retry (``next_u64``) would mean one was out of range.
-    """
-
-    def __init__(self, draws):
-        super().__init__(0)
-        self.draws = list(draws)
-
-    def take(self, k):
-        assert k == len(self.draws)
-        return list(self.draws)
-
-    def next_u64(self):
-        raise AssertionError("a scripted draw was out of range")
-
-
 class TestRemyStep:
     """Worked node insertions, replayed through random_tree_vector."""
 
     GROWTH = [1, 2, 9, 13, 11, 19, 3, 27]  # builds SECOND_TABLE (9 leaves)
 
     def test_worked_insertions_build_the_second_table(self):
-        assert random_tree_vector(_ScriptedDraws(self.GROWTH), 9) == SECOND_TABLE
+        assert random_tree_vector(ScriptedDraws(self.GROWTH), 9) == SECOND_TABLE
 
     def test_worked_insertion_odd(self):
-        assert random_tree_vector(_ScriptedDraws(self.GROWTH + [21]), 10) == FIRST_TABLE
+        assert random_tree_vector(ScriptedDraws(self.GROWTH + [21]), 10) == FIRST_TABLE
 
     def test_worked_insertion_even(self):
-        out = random_tree_vector(_ScriptedDraws(self.GROWTH + [8]), 10)
+        out = random_tree_vector(ScriptedDraws(self.GROWTH + [8]), 10)
         assert out[4] == 17
         assert out[17] == 5
         assert out[18] == 18
 
     def test_base_case_even(self):
-        assert random_tree_vector(_ScriptedDraws([0]), 2) == [1, 0, 2]
+        assert random_tree_vector(ScriptedDraws([0]), 2) == [1, 0, 2]
         tree = decode_remy_vector([1, 0, 2], 2)
         assert shape_of(tree) == (None, None)
 
     def test_base_case_odd(self):
-        assert random_tree_vector(_ScriptedDraws([1]), 2) == [1, 2, 0]
+        assert random_tree_vector(ScriptedDraws([1]), 2) == [1, 2, 0]
 
 
 class TestRandomTree:
