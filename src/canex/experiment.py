@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import sampling
 from .classical import TAUTOLOGY, UNKNOWN, CERT_ANTILOGY, \
@@ -132,14 +132,15 @@ class ExperimentReport:
         return ",".join(str(c) for c in cells)
 
 
-def _raw_sample(n: int, seed: int, index: int) -> tuple[list, tuple]:
+def _raw_sample(n: int, seed: int, index: int) -> tuple[list, Sequence[int]]:
     """Sample ``index``'s insertion vector and raw class labels, in stream order.
 
-    The draws go through the ``sampling`` module, where the tracer times them.
+    The labels are computed as they are read.  The draws go through the
+    ``sampling`` module, where the tracer times the tree draw.
     """
     rng = stream_for_sample(seed, index)
     vector = sampling.random_tree_vector(rng, n)
-    return vector, sampling.random_partition(rng, n).labels
+    return vector, sampling.class_labels(rng, n)
 
 
 def _classify_chunk(args) -> tuple[Counter, list]:
@@ -164,8 +165,9 @@ def _classify_chunk(args) -> tuple[Counter, list]:
                 counts["n_antilogy"] += 1
                 counts["n_simple_non_taut"] += simple_non_taut
                 continue
-            # The term random_canonical would return from the same words.
-            term = decode_labelled_vector(vector, canonicalize(labels))
+            # The term random_canonical would return from the same words;
+            # tuple() computes every label in one block.
+            term = decode_labelled_vector(vector, canonicalize(tuple(labels)))
         cls = classify(term)
         v, t = cls.verdict, cls.taut
         counts["n_simple"] += v.simple

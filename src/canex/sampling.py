@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +27,10 @@ _MASK64 = _TWO64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+# Inverses mod 2**64 of the three above, written out so importing computes nothing.
+_GAMMA_INVERSE = 0xF1DE83E19937733D
+_UNMIX_A = 0x96DE1B173F119089
+_UNMIX_B = 0x319642B2D24D8EC3
 
 
 def mix64(z: int) -> int:
@@ -35,6 +39,16 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)
+
+
+def unmix64(z: int) -> int:
+    """Inverse of ``mix64``: undoes each xor-shift and multiply in turn."""
+    z &= _MASK64
+    z ^= z >> 31 ^ z >> 62
+    z = (z * _UNMIX_B) & _MASK64
+    z ^= z >> 27 ^ z >> 54
+    z = (z * _UNMIX_A) & _MASK64
+    return z ^ (z >> 30) ^ (z >> 60)
 
 
 @lru_cache(maxsize=8)
@@ -68,6 +82,24 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         return mix64(self._state)
+
+    def position(self) -> int:
+        """Words drawn since state 0, mod 2**64.
+
+        The word at position p is ``mix64(p * gamma mod 2**64)``, so the next
+        word is at position ``position() + 1``.
+        """
+        return self._state * _GAMMA_INVERSE & _MASK64
+
+    def peek(self, j: int) -> int:
+        """Word ``j`` (from 0) of the next ``take``, without advancing the stream."""
+        return mix64(self._state + (j + 1) * _GAMMA)
+
+    def detach(self, k: int) -> SplitMix64:
+        """A stream at this one's state; this one skips the k words it holds."""
+        ahead = SplitMix64(self._state)
+        self._state = (self._state + k * _GAMMA) & _MASK64
+        return ahead
 
     def take(self, k: int) -> list[int]:
         """The next k words, as k ``next_u64()`` calls would return them.
@@ -122,25 +154,24 @@ def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
     words = rng.take(n - 1)
     # Every bound is below 4n, so no word up to 2**64 - 4n is ever rejected.
     unrejectable = max(words, default=0) <= _TWO64 - 4 * n
-    size = 1  # leaves before the next insertion
+    a = 1  # label of the next internal node, 2*size - 1; its new leaf is a + 1
     for z in words:
-        bound = 4 * size - 2
-        x = z % bound
-        if not unrejectable and z - x > _TWO64 - bound:
+        x = z % (2 * a)
+        if not unrejectable and z - x > _TWO64 - 2 * a:
             # Rejected: retry with the next word.  The words left in the
             # list come next in the stream, and the appended one follows them.
             words.append(rng.next_u64())
             continue
         k = x >> 1
         old = v[k]
-        v[k] = 2 * size - 1
+        v[k] = a
         if x & 1:
-            v[2 * size - 1] = 2 * size
-            v[2 * size] = old
+            v[a] = a + 1
+            v[a + 1] = old
         else:
-            v[2 * size - 1] = old
-            v[2 * size] = 2 * size
-        size += 1
+            v[a] = old
+            v[a + 1] = a + 1
+        a += 2
     return v
 
 
@@ -157,6 +188,23 @@ class ClassDescription:
     num_classes: int
 
 
+def _class_count(rng: SplitMix64, n: int) -> int:
+    """Stam's class count m for n elements, from ``stam_table(n)`` (clamped to its length)."""
+    table = stam_table(n)
+    return min(bisect_right(table, rng.random()) + 1, len(table))
+
+
+def _draw_labels(rng: SplitMix64, n: int, m: int) -> tuple[int, ...]:
+    """n labels in [0, m) by the rejection rule; the words come from one ``take``."""
+    limit = _TWO64 - _TWO64 % m
+    labels = [z % m for z in rng.take(n) if z < limit]
+    while len(labels) < n:  # words were rejected: draw their retries
+        z = rng.next_u64()
+        if z < limit:
+            labels.append(z % m)
+    return tuple(labels)
+
+
 def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
     """Uniform set partition of ``n`` elements, as a class description.
 
@@ -165,15 +213,70 @@ def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
     Each label follows the rejection rule in README's determinism contract;
     the words come from one ``take``.
     """
-    table = stam_table(n)
-    m = min(bisect_right(table, rng.random()) + 1, len(table))
-    limit = _TWO64 - _TWO64 % m
-    labels = [z % m for z in rng.take(n) if z < limit]
-    while len(labels) < n:  # words were rejected: draw their retries
-        z = rng.next_u64()
-        if z < limit:
-            labels.append(z % m)
-    return ClassDescription(labels=tuple(labels), num_classes=m)
+    m = _class_count(rng, n)
+    return ClassDescription(labels=_draw_labels(rng, n, m), num_classes=m)
+
+
+@lru_cache(maxsize=None)
+def _rejected_positions(m: int) -> array:
+    """Sorted stream positions of the words a label draw for m rejects.
+
+    Those are the words in [2**64 - 2**64 % m, 2**64), fewer than m.
+    ``mix64`` is a bijection, so each has one position,
+    ``unmix64(z) * gamma**-1 mod 2**64``.  Built when m is first drawn.
+    """
+    return array("Q", sorted(unmix64(z) * _GAMMA_INVERSE & _MASK64
+                             for z in range(_TWO64 - _TWO64 % m, _TWO64)))
+
+
+def _any_in_window(positions: array, first: int, k: int) -> bool:
+    """Whether sorted ``positions`` hold one of first, first + 1, ..., first + k - 1, mod 2**64."""
+    i = bisect_left(positions, first)
+    if i < len(positions) and positions[i] - first < k:
+        return True
+    # A window that wraps past 2**64 goes on from position 0.
+    return bool(positions) and positions[0] < first + k - _TWO64
+
+
+class LabelReader:
+    """The labels of a label draw that rejects no word, each computed when read.
+
+    Label j is word j of ``words`` mod m, one ``mix64`` per read.  Iterating
+    computes all n labels from the same words, in one ``take``.
+    """
+
+    __slots__ = ("_words", "_n", "_m")
+
+    def __init__(self, words: SplitMix64, n: int, m: int):
+        self._words, self._n, self._m = words, n, m
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, j: int) -> int:
+        if j < 0:
+            j += self._n
+        if not 0 <= j < self._n:
+            raise IndexError("label index out of range")
+        return self._words.peek(j) % self._m
+
+    def __iter__(self):
+        # Take from a copy of the stream, so later reads still start at label 0.
+        m = self._m
+        return iter([z % m for z in self._words.detach(0).take(self._n)])
+
+
+def class_labels(rng: SplitMix64, n: int) -> tuple[int, ...] | LabelReader:
+    """``random_partition(rng, n).labels``, with labels computed as they are read.
+
+    When any of the n label words would be rejected, the labels are drawn in
+    full, as ``random_partition`` draws them.  Either way the stream is left
+    where ``random_partition`` leaves it.
+    """
+    m = _class_count(rng, n)
+    if _any_in_window(_rejected_positions(m), (rng.position() + 1) & _MASK64, n):
+        return _draw_labels(rng, n, m)
+    return LabelReader(rng.detach(n), n, m)
 
 
 def to_growth_string(description: ClassDescription) -> tuple[int, ...]:

@@ -4,13 +4,13 @@ import os
 import pytest
 from conftest import left_chain
 
-from canex import classical, experiment
+from canex import classical, experiment, sampling
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              TAUTOLOGY, evaluate, is_simple_antilogy)
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
                               simple_rate)
-from canex.sampling import random_canonical, stream_for_sample
+from canex.sampling import SplitMix64, mix64, random_canonical, stream_for_sample
 from canex.terms import canonical_form, decode_labelled_vector, parse, render
 
 RECORD_KEYS = ["simple", "mp", "easy", "minorAfterClean", "cheap", "cleanedSize",
@@ -288,6 +288,41 @@ class TestCountPathBuildsOnlyUnsettledTerms:
                       for i in range(count))
         assert 0 < settled < count
         assert built == [n] * (count - settled)
+
+
+class TestCountPathReadsLabelsOnDemand:
+    def test_words_computed_per_sample(self, monkeypatch):
+        # Each sample computes its stream seed, n - 1 tree words, the class
+        # count and the labels the filters read: about 4 on average, at most
+        # a few dozen.  A reader that computed all n labels would double it.
+        n, count = 3000, 10
+        words = [0]
+        marks = []
+
+        def counting_mix64(z):
+            words[0] += 1
+            return mix64(z)
+
+        take = SplitMix64.take
+
+        def counting_take(self, k):
+            words[0] += k
+            return take(self, k)
+
+        raw_sample = experiment._raw_sample
+
+        def marking(*args):
+            marks.append(words[0])
+            return raw_sample(*args)
+
+        monkeypatch.setattr(sampling, "mix64", counting_mix64)
+        monkeypatch.setattr(SplitMix64, "take", counting_take)
+        monkeypatch.setattr(experiment, "_raw_sample", marking)
+        rn_table([n], count=count, seed=5)
+        marks.append(words[0])
+        per_sample = [b - a for a, b in zip(marks, marks[1:])]
+        assert len(per_sample) == count
+        assert all(n + 1 < w < n + 100 for w in per_sample), per_sample
 
 
 class TestChunkPlan:

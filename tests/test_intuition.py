@@ -6,7 +6,8 @@ from conftest import left_chain, terms_up_to_20_vars
 from hypothesis import given, strategies as st
 
 from canex import intuition
-from canex.classical import evaluate
+from canex.classical import TAUTOLOGY, evaluate
+from canex.experiment import classify
 from canex.intuition import (cheap_verdict, clean, is_easy, is_minor, is_mp,
                              is_simple)
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
@@ -264,3 +265,27 @@ def test_clean_preserves_provability_and_cheap_is_provable(term):
     assert prove_intuitionistic(clean(term)) == provable
     if cheap_verdict(term).cheap:
         assert provable
+
+
+class TestExactShare:
+    # (terms, tautologies, cheap, intuitionistic) over every canonical term of
+    # each size.  Intuitionistic counts the cheap tautologies and the others
+    # the reference prover proves after cleaning.  Exact references for the
+    # sampled share at larger n.
+    EXPECTED = {4: (75, 25, 24, 24), 5: (728, 206, 195, 201),
+                6: (8526, 2298, 2114, 2201), 7: (115764, 28504, 26084, 27406)}
+
+    def test_counts_by_enumeration(self):
+        for n, expected in self.EXPECTED.items():
+            terms = tautologies = cheap = intuitionistic = 0
+            for term in enumerate_canonical(n):
+                cls = classify(term)
+                terms += 1
+                cheap += cls.verdict.cheap
+                if cls.taut.status == TAUTOLOGY:
+                    tautologies += 1
+                    intuitionistic += (cls.verdict.cheap
+                                       or prove_intuitionistic(cls.verdict.cleaned))
+                else:
+                    assert not cls.verdict.cheap
+            assert (terms, tautologies, cheap, intuitionistic) == expected

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from array import array
 from bisect import bisect_right
 from collections import Counter
 
@@ -7,10 +10,11 @@ from conftest import ScriptedDraws
 
 from canex.counting import bell, count_canonical, stam_table
 from canex.reference import all_shapes, chi_square, enumerate_canonical
-from canex.sampling import (ClassDescription, SplitMix64, mix64,
-                            random_canonical, random_partition, random_tree,
-                            random_tree_vector, stream_for_sample,
-                            to_growth_string)
+from canex import sampling
+from canex.sampling import (ClassDescription, LabelReader, SplitMix64,
+                            class_labels, mix64, random_canonical,
+                            random_partition, random_tree, random_tree_vector,
+                            stream_for_sample, to_growth_string, unmix64)
 from canex.terms import (attach_vars, canonicalize, decode_remy_vector,
                          is_valid_growth_string, leaf_count, leaf_vars, render,
                          shape_of)
@@ -62,6 +66,22 @@ class TestSplitMix64:
         for seed in (MASK64, MASK64 - GAMMA, unmix64(0) - GAMMA, unmix64(MASK64) - 3 * GAMMA):
             block, scalar = SplitMix64(seed), SplitMix64(seed)
             assert block.take(5) == [scalar.next_u64() for _ in range(5)]
+
+    def test_inverse_constants(self):
+        for a, b in ((GAMMA, sampling._GAMMA_INVERSE), (sampling._MIX_A, sampling._UNMIX_A),
+                     (sampling._MIX_B, sampling._UNMIX_B)):
+            assert a * b & MASK64 == 1
+
+    def test_peek_position_and_detach(self):
+        for seed in (2718281828, MASK64):
+            rng = SplitMix64(seed)
+            start = rng.position()
+            ahead = [rng.peek(j) for j in range(10)]
+            assert rng.position() == start
+            words = rng.detach(10)
+            assert rng.position() == (start + 10) & MASK64
+            assert words.take(10) == ahead
+            assert rng.next_u64() == mix64((start + 11) * GAMMA & MASK64)
 
     def test_stream_derivation_contract(self):
         seed, index = 987654321, 13
@@ -233,16 +253,6 @@ class TestRandomCanonical:
         assert abs(hits / draws - exact) < 4.5 * sigma
 
 
-def unmix64(z: int) -> int:
-    """Inverse of ``mix64``: undoes each xor-shift and multiply in turn."""
-    z &= MASK64
-    z ^= z >> 31 ^ z >> 62
-    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
-    z ^= z >> 27 ^ z >> 54
-    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
-    return z ^ (z >> 30) ^ (z >> 60)
-
-
 def below(rng: SplitMix64, bound: int) -> int:
     """Uniform integer in [0, bound), one word at a time, by the rejection rule."""
     if bound <= 0:
@@ -319,3 +329,116 @@ class TestBlockDrawsMatchScalarReference:
             draws = ((slow._state - start) * pow(GAMMA, -1, 1 << 64)) & MASK64
             retried += draws > 2 * n + 1
         assert retried >= n - 2  # every tree draw past the first is retried
+
+    def test_word_above_the_flag_but_below_the_limit_is_accepted(self):
+        # Draw j grows the tree from j leaves, with bound 4j - 2.  The word
+        # just below that bound's limit clears the block's unrejectable flag,
+        # yet the exact test accepts it.
+        n, j = 1000, 500
+        bound = 4 * j - 2
+        word = (1 << 64) - (1 << 64) % bound - 1
+        assert word > (1 << 64) - 4 * n
+        fast, slow = forced_stream(j, word), forced_stream(j, word)
+        start = slow.position()
+        assert random_tree_vector(fast, n) == scalar_tree_vector(slow, n)
+        assert (slow.position() - start) & MASK64 == n - 1  # nothing was retried
+        assert fast.next_u64() == slow.next_u64()
+
+
+def after_tree(seed: int, index: int, n: int) -> SplitMix64:
+    """Sample ``index``'s stream, past its tree draw."""
+    rng = stream_for_sample(seed, index)
+    random_tree_vector(rng, n)
+    return rng
+
+
+class TestClassLabels:
+    """``class_labels`` reads labels on demand, and equals the full draw."""
+
+    @pytest.mark.parametrize("n,count", [(1, 100), (2, 100), (3, 100), (25, 100),
+                                         (100, 50), (1000, 10), (3000, 4)])
+    def test_agrees_with_random_partition(self, n, count):
+        for seed in (0, 12358, MASK64):
+            for index in range(count):
+                fast, slow = after_tree(seed, index, n), after_tree(seed, index, n)
+                labels = class_labels(fast, n)
+                full = random_partition(slow, n).labels
+                assert isinstance(labels, LabelReader)
+                assert len(labels) == n
+                assert [labels[j] for j in range(n)] == list(full)
+                assert [labels[j] for j in range(-n, 0)] == list(full)
+                assert tuple(labels) == full
+                assert tuple(labels) == full  # iterating leaves the reader as it was
+                assert fast.next_u64() == slow.next_u64()
+
+    def test_index_out_of_range(self):
+        labels = class_labels(after_tree(3, 0, 25), 25)
+        assert isinstance(labels, LabelReader)
+        for j in (25, -26):
+            with pytest.raises(IndexError):
+                labels[j]
+
+    def test_rejected_positions(self):
+        for m in (1, 2, 3, 7, 64, 1000, 4099):
+            limit = (1 << 64) - (1 << 64) % m
+            positions = sampling._rejected_positions(m)
+            assert list(positions) == sorted(positions)
+            assert len(positions) == (1 << 64) % m < m
+            assert sorted(mix64(q * GAMMA) for q in positions) == list(range(limit, 1 << 64))
+
+    def test_rejected_label_word_takes_the_full_draw(self):
+        # Draw 1 is the class count and draw j + 2 is label j.  A word at the
+        # top of the range is rejected by every m whose limit it reaches.
+        seen = set()
+        for n in (5, 30, 100):
+            for j in (0, n // 2, n - 1):
+                for word in range(MASK64, MASK64 - 8, -1):
+                    fast, slow = forced_stream(j + 2, word), forced_stream(j + 2, word)
+                    m = sampling._class_count(forced_stream(j + 2, word), n)
+                    labels = class_labels(fast, n)
+                    assert tuple(labels) == scalar_partition(slow, n).labels
+                    assert fast.next_u64() == slow.next_u64()
+                    if word >= (1 << 64) - (1 << 64) % m:
+                        assert not isinstance(labels, LabelReader)
+                        seen.add((j == 0, j == n - 1, m))
+        # First and last words, each for several m.
+        assert len({m for first, _, m in seen if first}) >= 3
+        assert len({m for _, last, m in seen if last}) >= 3
+        assert len({m for first, last, m in seen if not first and not last}) >= 3
+
+    def test_window_test_wraps_past_the_top(self):
+        positions = array("Q", [2, 10, MASK64 - 1])
+        assert sampling._any_in_window(positions, MASK64 - 3, 3)
+        assert not sampling._any_in_window(positions, MASK64 - 4, 3)
+        assert not sampling._any_in_window(positions, MASK64, 3)  # MASK64, 0, 1
+        assert sampling._any_in_window(positions, MASK64, 4)  # ..., 2
+        assert not sampling._any_in_window(positions, 3, 7)  # 3..9
+        assert sampling._any_in_window(positions, 3, 8)  # 3..10
+        assert not sampling._any_in_window(array("Q"), MASK64, 1 << 20)
+
+    def test_label_window_wrapping_past_the_top(self, monkeypatch):
+        # The class count is drawn at position 2**64 - 2, so the ten label
+        # words sit at positions 2**64 - 1 and 0 to 8.
+        n = 10
+
+        def stream():
+            return SplitMix64((MASK64 - 2) * GAMMA)
+
+        full = scalar_partition(stream(), n).labels
+        labels = class_labels(stream(), n)
+        assert isinstance(labels, LabelReader) and tuple(labels) == full
+        # Mark position 8, past the wrap, as rejected, then position 9 just
+        # beyond the window: only the first takes the full draw.
+        monkeypatch.setattr(sampling, "_rejected_positions", lambda _: array("Q", [8]))
+        assert class_labels(stream(), n) == full
+        assert not isinstance(class_labels(stream(), n), LabelReader)
+        monkeypatch.setattr(sampling, "_rejected_positions", lambda _: array("Q", [9]))
+        assert isinstance(class_labels(stream(), n), LabelReader)
+
+    def test_no_cache_filled_at_import(self):
+        script = ("import canex, canex.cli\n"
+                  "from canex import sampling\n"
+                  "assert sampling._rejected_positions.cache_info().currsize == 0\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
