@@ -29,7 +29,19 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _check_writable(*paths) -> None:
+    """Fail before any sample is drawn when an output file cannot be opened."""
+    for path in paths:
+        if path:
+            try:
+                open(path, "a", encoding="utf-8").close()
+            except OSError as exc:
+                raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError("count must be at least 1")
     for index in range(args.count):
         term = random_canonical(stream_for_sample(args.seed, index), args.n)
         if args.format == "json":
@@ -74,6 +86,7 @@ def _cmd_experiment(args) -> int:
     cfg = experiment.ExperimentConfig(
         n=args.n, count=args.count, seed=args.seed, workers=args.workers,
         dump_jsonl=args.dump_jsonl)
+    _check_writable(args.out_csv, args.dump_jsonl)
     report = experiment.run_experiment(cfg)
     text = experiment.emit_report(report, out_csv=args.out_csv,
                                   dump_jsonl=args.dump_jsonl, timing=args.timing)
@@ -83,6 +96,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_rntable(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    if not sizes:
+        raise ValueError("rntable needs at least one size")
+    _check_writable(args.out_csv)
     text = experiment.rn_table(sizes, args.count, args.seed, args.workers)
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:

@@ -16,18 +16,18 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import sampling
 from .classical import TAUTOLOGY, UNKNOWN, CERT_ANTILOGY, \
     TautologyStatus, is_simple_non_tautology, tautology_status
 from .intuition import IntuitVerdict, cheap_verdict, clean
-from .sampling import random_canonical, stream_for_sample
-from .terms import Term, canonicalize, decode_labelled_vector, render, \
-    spine_filters
-# Not called here; perfbench's tracer times experiment.is_simple, so the
-# name stays importable from this module.
+from .sampling import stream_for_sample
+from .terms import Term, decode_labelled_vector, render, spine_filters
+# Not called here; perfbench's tracer times experiment.is_simple and wraps
+# experiment.random_canonical, so the names stay importable from this module.
 from .intuition import is_simple  # noqa: F401
+from .sampling import random_canonical  # noqa: F401
 
 DEFAULT_SEED = 12358
 
@@ -132,15 +132,15 @@ class ExperimentReport:
         return ",".join(str(c) for c in cells)
 
 
-def _raw_sample(n: int, seed: int, index: int) -> tuple[list, Sequence[int]]:
-    """Sample ``index``'s insertion vector and raw class labels, in stream order.
+def _raw_sample(n: int, seed: int, index: int) -> tuple[list, sampling.ClassDescription]:
+    """Sample ``index``'s insertion vector and class description, in stream order.
 
-    The labels are computed as they are read.  The draws go through the
-    ``sampling`` module, where the tracer times the tree draw.
+    These are the draws ``random_canonical`` makes.  They go through the
+    ``sampling`` module, where the tracer times them.
     """
     rng = stream_for_sample(seed, index)
     vector = sampling.random_tree_vector(rng, n)
-    return vector, sampling.class_labels(rng, n)
+    return vector, sampling.random_partition(rng, n)
 
 
 def _classify_chunk(args) -> tuple[Counter, list]:
@@ -149,11 +149,9 @@ def _classify_chunk(args) -> tuple[Counter, list]:
     counts = Counter()
     records = []
     for index in range(lo, hi):
-        if dump:
-            term = random_canonical(stream_for_sample(seed, index), n)
-        else:
-            vector, labels = _raw_sample(n, seed, index)
-            _, antilogy, simple_non_taut = spine_filters(vector, labels)
+        vector, partition = _raw_sample(n, seed, index)
+        if not dump:
+            _, antilogy, simple_non_taut = spine_filters(vector, partition.labels)
             if antilogy:
                 # Settled with no term built, and without clean, which only
                 # the dump's cleanedSize needs.  Cleaning keeps every goal and
@@ -165,9 +163,8 @@ def _classify_chunk(args) -> tuple[Counter, list]:
                 counts["n_antilogy"] += 1
                 counts["n_simple_non_taut"] += simple_non_taut
                 continue
-            # The term random_canonical would return from the same words;
-            # tuple() computes every label in one block.
-            term = decode_labelled_vector(vector, canonicalize(tuple(labels)))
+        # The term random_canonical returns from the same words.
+        term = decode_labelled_vector(vector, sampling.to_growth_string(partition))
         cls = classify(term)
         v, t = cls.verdict, cls.taut
         counts["n_simple"] += v.simple
@@ -249,7 +246,8 @@ def _simple_rate_chunk(args) -> int:
     n, seed, lo, hi = args
     hits = 0
     for index in range(lo, hi):
-        hits += spine_filters(*_raw_sample(n, seed, index))[0]
+        vector, partition = _raw_sample(n, seed, index)
+        hits += spine_filters(vector, partition.labels)[0]
     return hits
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .counting import stam_table
 from .terms import (Shape, Term, canonicalize, decode_labelled_vector,
@@ -180,18 +180,14 @@ def random_tree(rng: SplitMix64, n: int) -> Shape:
     return shape_of(decode_remy_vector(random_tree_vector(rng, n), n))
 
 
-@dataclass(frozen=True)
-class ClassDescription:
-    """Elementwise class labels drawn in [0, num_classes); possibly with gaps."""
+class ClassDescription(NamedTuple):
+    """Elementwise class labels drawn in [0, num_classes); possibly with gaps.
 
-    labels: tuple[int, ...]
+    ``labels`` is a ``LabelReader`` when the draw rejected no word, else a tuple.
+    """
+
+    labels: Sequence[int]
     num_classes: int
-
-
-def _class_count(rng: SplitMix64, n: int) -> int:
-    """Stam's class count m for n elements, from ``stam_table(n)`` (clamped to its length)."""
-    table = stam_table(n)
-    return min(bisect_right(table, rng.random()) + 1, len(table))
 
 
 def _draw_labels(rng: SplitMix64, n: int, m: int) -> tuple[int, ...]:
@@ -203,18 +199,6 @@ def _draw_labels(rng: SplitMix64, n: int, m: int) -> tuple[int, ...]:
         if z < limit:
             labels.append(z % m)
     return tuple(labels)
-
-
-def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
-    """Uniform set partition of ``n`` elements, as a class description.
-
-    Stam's urn: a class count m from ``stam_table(n)`` (clamped to the
-    table's length), then an independent label in [0, m) for each element.
-    Each label follows the rejection rule in README's determinism contract;
-    the words come from one ``take``.
-    """
-    m = _class_count(rng, n)
-    return ClassDescription(labels=_draw_labels(rng, n, m), num_classes=m)
 
 
 @lru_cache(maxsize=None)
@@ -266,22 +250,31 @@ class LabelReader:
         return iter([z % m for z in self._words.detach(0).take(self._n)])
 
 
-def class_labels(rng: SplitMix64, n: int) -> tuple[int, ...] | LabelReader:
-    """``random_partition(rng, n).labels``, with labels computed as they are read.
+def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
+    """Uniform set partition of ``n`` elements, as a class description.
 
-    When any of the n label words would be rejected, the labels are drawn in
-    full, as ``random_partition`` draws them.  Either way the stream is left
-    where ``random_partition`` leaves it.
+    Stam's urn: a class count m from ``stam_table(n)`` (clamped to the
+    table's length), then an independent label in [0, m) for each element,
+    by the rejection rule in README's determinism contract.  One ``bisect``
+    over the positions m rejects tells whether any of the n label words is
+    rejected.  If none is, the labels are a ``LabelReader``, computed as they
+    are read; else they are drawn in full.  Either way the stream is left
+    past the labels' last word.
     """
-    m = _class_count(rng, n)
+    table = stam_table(n)
+    m = min(bisect_right(table, rng.random()) + 1, len(table))
     if _any_in_window(_rejected_positions(m), (rng.position() + 1) & _MASK64, n):
-        return _draw_labels(rng, n, m)
-    return LabelReader(rng.detach(n), n, m)
+        return ClassDescription(_draw_labels(rng, n, m), m)
+    return ClassDescription(LabelReader(rng.detach(n), n, m), m)
 
 
 def to_growth_string(description: ClassDescription) -> tuple[int, ...]:
-    """Renumber a class description into its restricted growth string."""
-    return canonicalize(description.labels)
+    """Renumber a class description into its restricted growth string.
+
+    The labels are computed in one block first; read one at a time, a
+    ``LabelReader`` would cost one ``mix64`` per label.
+    """
+    return canonicalize(tuple(description.labels))
 
 
 def random_canonical(rng: SplitMix64, n: int) -> Term:

@@ -30,7 +30,7 @@ class ParseError(ValueError):
 
 
 class CanonicalityError(ValueError):
-    """Text or JSON parsed fine but the variable numbering is not canonical."""
+    """A term, parsed fine or given for JSON output, whose variable numbering is not canonical."""
 
 
 class RemyVectorError(ValueError):
@@ -417,39 +417,9 @@ def shape_string(shape: Shape) -> str:
     return "".join(out)
 
 
-def parse_shape_string(text: str) -> Shape:
-    saved: list[list] = []
-    current: list = []
-    for i, ch in enumerate(text):
-        if ch == "L":
-            current.append(None)
-        elif ch == "(":
-            saved.append(current)
-            current = []
-        elif ch == ")":
-            if not saved or len(current) != 2:
-                raise ValueError(f"malformed shape string (position {i})")
-            node = (current[0], current[1])
-            current = saved.pop()
-            current.append(node)
-        else:
-            raise ValueError(f"unexpected character {ch!r} in shape string (position {i})")
-    if saved or len(current) != 1:
-        raise ValueError("malformed shape string")
-    return current[0]
-
-
 def to_json_obj(term: Term) -> dict:
     """JSON object form ``{"rgs": [...], "shape": "..."}`` of a canonical term."""
     vars_ = leaf_vars(term)
     if not is_valid_growth_string(vars_):
         raise CanonicalityError("only canonical terms have a JSON form")
     return {"rgs": vars_, "shape": shape_string(shape_of(term))}
-
-
-def from_json_obj(obj: dict) -> Term:
-    shape = parse_shape_string(obj["shape"])
-    rgs = list(obj["rgs"])
-    if not is_valid_growth_string(rgs):
-        raise CanonicalityError("'rgs' is not a restricted growth string")
-    return attach_vars(shape, rgs)

@@ -6,7 +6,8 @@ import pytest
 from conftest import left_chain
 
 from canex.cli import main
-from canex.terms import canonical_form, render
+from canex import experiment
+from canex.terms import canonical_form, parse, render, to_json_obj
 
 
 def run_cli(args, capsys):
@@ -46,15 +47,22 @@ class TestSample:
         assert len(first.strip().split("\n")) == 3
 
     def test_json_format_round_trips(self, capsys):
-        from canex.terms import from_json_obj, render
         code, out, _ = run_cli(
             ["sample", "--n", "9", "--count", "2", "--seed", "8", "--format", "json"], capsys)
         assert code == 0
         code, text_out, _ = run_cli(
             ["sample", "--n", "9", "--count", "2", "--seed", "8"], capsys)
-        for json_line, text_line in zip(out.strip().split("\n"),
-                                        text_out.strip().split("\n")):
-            assert render(from_json_obj(json.loads(json_line))) == text_line
+        json_lines = out.strip().split("\n")
+        text_lines = text_out.strip().split("\n")
+        assert len(json_lines) == len(text_lines) == 2
+        for json_line, text_line in zip(json_lines, text_lines):
+            assert json.loads(json_line) == to_json_obj(parse(text_line))
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_rejected(self, capsys, count):
+        code, out, err = run_cli(["sample", "--n", "5", "--count", count], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: count must be at least 1\n"
 
 
 class TestClassify:
@@ -135,6 +143,19 @@ class TestExperiment:
         lines = dump.read_text().strip().split("\n")
         assert len(lines) == 25
 
+    @pytest.mark.parametrize("option", ["--out-csv", "--dump-jsonl"])
+    def test_bad_output_path_rejected_before_sampling(self, capsys, monkeypatch,
+                                                      tmp_path, option):
+        def no_run(cfg):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr(experiment, "run_experiment", no_run)
+        path = tmp_path / "missing" / "out"
+        code, out, err = run_cli(
+            ["experiment", "--n", "5", "--count", "10", option, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
 
 class TestRnTable:
     def test_csv_written(self, capsys, tmp_path):
@@ -146,12 +167,26 @@ class TestRnTable:
         assert out == out_csv.read_text()
         assert len(out.strip().split("\n")) == 3
 
+    def test_bad_output_path_rejected_before_sampling(self, capsys, monkeypatch,
+                                                      tmp_path):
+        def no_run(*args):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr(experiment, "rn_table", no_run)
+        path = tmp_path / "missing" / "rn.csv"
+        code, out, err = run_cli(
+            ["rntable", "--sizes", "4", "--count", "5", "--out-csv", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
     @pytest.mark.parametrize("args, message", [
         (["--sizes", "1"], "rntable sizes must be at least 2"),
         (["--sizes", "4,1", "--count", "5"], "rntable sizes must be at least 2"),
         (["--sizes", "4", "--count", "0"], "count must be at least 1"),
         (["--sizes", "4", "--workers", "0"], "workers must be at least 1"),
         (["--sizes", "1", "--count", "0"], "count must be at least 1"),
+        (["--sizes", ""], "rntable needs at least one size"),
+        (["--sizes", ","], "rntable needs at least one size"),
     ])
     def test_bad_sizes_and_counts_rejected(self, capsys, args, message):
         code, out, err = run_cli(["rntable", *args], capsys)

@@ -275,7 +275,7 @@ class TestCountPathBuildsOnlyUnsettledTerms:
             return decode_labelled_vector(vector, labels)
 
         def no_sample(rng, n):
-            raise AssertionError("the count path drew a whole term")
+            raise AssertionError("a run drew through random_canonical")
 
         monkeypatch.setattr(experiment, "decode_labelled_vector", counting_build)
         monkeypatch.setattr(experiment, "random_canonical", no_sample)
@@ -289,13 +289,19 @@ class TestCountPathBuildsOnlyUnsettledTerms:
         assert 0 < settled < count
         assert built == [n] * (count - settled)
 
+        # A dump run builds every term, from the same draw.
+        built.clear()
+        report = run_experiment(ExperimentConfig(n=n, count=count, seed=seed,
+                                                 dump_jsonl="unused.jsonl"))
+        assert built == [n] * count
+        assert [r["expr"] for r in report.records] == [
+            render(random_canonical(stream_for_sample(seed, i), n)) for i in range(count)]
+
 
 class TestCountPathReadsLabelsOnDemand:
-    def test_words_computed_per_sample(self, monkeypatch):
-        # Each sample computes its stream seed, n - 1 tree words, the class
-        # count and the labels the filters read: about 4 on average, at most
-        # a few dozen.  A reader that computed all n labels would double it.
-        n, count = 3000, 10
+    @staticmethod
+    def words_per_sample(monkeypatch, run) -> list[int]:
+        """Words each sample of ``run()`` computes, counted from one draw to the next."""
         words = [0]
         marks = []
 
@@ -318,11 +324,27 @@ class TestCountPathReadsLabelsOnDemand:
         monkeypatch.setattr(sampling, "mix64", counting_mix64)
         monkeypatch.setattr(SplitMix64, "take", counting_take)
         monkeypatch.setattr(experiment, "_raw_sample", marking)
-        rn_table([n], count=count, seed=5)
+        run()
         marks.append(words[0])
-        per_sample = [b - a for a, b in zip(marks, marks[1:])]
+        return [b - a for a, b in zip(marks, marks[1:])]
+
+    def test_words_computed_per_sample(self, monkeypatch):
+        # Each sample computes its stream seed, n - 1 tree words, the class
+        # count and the labels the filters read: about 4 on average, at most
+        # a few dozen.  A reader that computed all n labels would double it.
+        n, count = 3000, 10
+        per_sample = self.words_per_sample(
+            monkeypatch, lambda: rn_table([n], count=count, seed=5))
         assert len(per_sample) == count
         assert all(n + 1 < w < n + 100 for w in per_sample), per_sample
+
+    def test_words_computed_per_dump_sample(self, monkeypatch):
+        # A dump run builds every term: its stream seed, n - 1 tree words,
+        # the class count and all n labels, each computed once.
+        n, count = 100, 20
+        per_sample = self.words_per_sample(monkeypatch, lambda: run_experiment(
+            ExperimentConfig(n=n, count=count, seed=5, dump_jsonl="unused.jsonl")))
+        assert per_sample == [2 * n + 1] * count
 
 
 class TestChunkPlan:

@@ -11,10 +11,10 @@ from conftest import ScriptedDraws
 from canex.counting import bell, count_canonical, stam_table
 from canex.reference import all_shapes, chi_square, enumerate_canonical
 from canex import sampling
-from canex.sampling import (ClassDescription, LabelReader, SplitMix64,
-                            class_labels, mix64, random_canonical,
-                            random_partition, random_tree, random_tree_vector,
-                            stream_for_sample, to_growth_string, unmix64)
+from canex.sampling import (ClassDescription, LabelReader, SplitMix64, mix64,
+                            random_canonical, random_partition, random_tree,
+                            random_tree_vector, stream_for_sample,
+                            to_growth_string, unmix64)
 from canex.terms import (attach_vars, canonicalize, decode_remy_vector,
                          is_valid_growth_string, leaf_count, leaf_vars, render,
                          shape_of)
@@ -304,7 +304,9 @@ class TestBlockDrawsMatchScalarReference:
     @staticmethod
     def assert_same_sample(fast: SplitMix64, slow: SplitMix64, n: int):
         assert random_tree_vector(fast, n) == scalar_tree_vector(slow, n)
-        assert random_partition(fast, n) == scalar_partition(slow, n)
+        partition, expected = random_partition(fast, n), scalar_partition(slow, n)
+        assert partition.num_classes == expected.num_classes
+        assert tuple(partition.labels) == expected.labels
         assert fast.next_u64() == slow.next_u64()
 
     @pytest.mark.parametrize("n,count", [(1, 200), (2, 400), (3, 400), (7, 400),
@@ -353,7 +355,7 @@ def after_tree(seed: int, index: int, n: int) -> SplitMix64:
 
 
 class TestClassLabels:
-    """``class_labels`` reads labels on demand, and equals the full draw."""
+    """``random_partition``'s labels are read on demand, and equal the scalar draw."""
 
     @pytest.mark.parametrize("n,count", [(1, 100), (2, 100), (3, 100), (25, 100),
                                          (100, 50), (1000, 10), (3000, 4)])
@@ -361,8 +363,9 @@ class TestClassLabels:
         for seed in (0, 12358, MASK64):
             for index in range(count):
                 fast, slow = after_tree(seed, index, n), after_tree(seed, index, n)
-                labels = class_labels(fast, n)
-                full = random_partition(slow, n).labels
+                partition, expected = random_partition(fast, n), scalar_partition(slow, n)
+                labels, full = partition.labels, expected.labels
+                assert partition.num_classes == expected.num_classes
                 assert isinstance(labels, LabelReader)
                 assert len(labels) == n
                 assert [labels[j] for j in range(n)] == list(full)
@@ -372,7 +375,7 @@ class TestClassLabels:
                 assert fast.next_u64() == slow.next_u64()
 
     def test_index_out_of_range(self):
-        labels = class_labels(after_tree(3, 0, 25), 25)
+        labels = random_partition(after_tree(3, 0, 25), 25).labels
         assert isinstance(labels, LabelReader)
         for j in (25, -26):
             with pytest.raises(IndexError):
@@ -394,9 +397,10 @@ class TestClassLabels:
             for j in (0, n // 2, n - 1):
                 for word in range(MASK64, MASK64 - 8, -1):
                     fast, slow = forced_stream(j + 2, word), forced_stream(j + 2, word)
-                    m = sampling._class_count(forced_stream(j + 2, word), n)
-                    labels = class_labels(fast, n)
-                    assert tuple(labels) == scalar_partition(slow, n).labels
+                    partition, expected = random_partition(fast, n), scalar_partition(slow, n)
+                    labels, m = partition.labels, partition.num_classes
+                    assert m == expected.num_classes
+                    assert tuple(labels) == expected.labels
                     assert fast.next_u64() == slow.next_u64()
                     if word >= (1 << 64) - (1 << 64) % m:
                         assert not isinstance(labels, LabelReader)
@@ -424,16 +428,18 @@ class TestClassLabels:
         def stream():
             return SplitMix64((MASK64 - 2) * GAMMA)
 
+        def labels():
+            return random_partition(stream(), n).labels
+
         full = scalar_partition(stream(), n).labels
-        labels = class_labels(stream(), n)
-        assert isinstance(labels, LabelReader) and tuple(labels) == full
+        assert isinstance(labels(), LabelReader) and tuple(labels()) == full
         # Mark position 8, past the wrap, as rejected, then position 9 just
         # beyond the window: only the first takes the full draw.
         monkeypatch.setattr(sampling, "_rejected_positions", lambda _: array("Q", [8]))
-        assert class_labels(stream(), n) == full
-        assert not isinstance(class_labels(stream(), n), LabelReader)
+        assert labels() == full
+        assert not isinstance(labels(), LabelReader)
         monkeypatch.setattr(sampling, "_rejected_positions", lambda _: array("Q", [9]))
-        assert isinstance(class_labels(stream(), n), LabelReader)
+        assert isinstance(labels(), LabelReader)
 
     def test_no_cache_filled_at_import(self):
         script = ("import canex, canex.cli\n"

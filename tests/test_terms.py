@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given
 
 from canex.terms import (CanonicalityError, ParseError, RemyVectorError,
                          attach_vars, canonical_form, canonicalize,
-                         decode_labelled_vector, decode_remy_vector,
-                         from_json_obj, is_canonical,
+                         decode_labelled_vector, decode_remy_vector, is_canonical,
                          is_valid_growth_string, leaf_count, leaf_vars, parse,
                          render, shape_of, shape_string, spine, to_json_obj)
+from canex.counting import count_canonical
 from canex.reference import enumerate_canonical
 from canex.sampling import random_canonical, stream_for_sample
 
@@ -285,17 +286,21 @@ class TestShapeAndJson:
         assert shape_string(None) == "L"
         assert shape_string((None, (None, None))) == "(L(LL))"
 
-    def test_json_round_trip(self):
-        term = parse(TEN_LEAF_TEXT)
-        obj = to_json_obj(term)
-        assert obj["rgs"] == [0, 2, 2, 0, 2, 0, 1, 0, 0, 0]
-        assert from_json_obj(obj) == term
+    def test_json_form(self):
+        assert to_json_obj(parse(TEN_LEAF_TEXT)) == {
+            "rgs": [0, 2, 2, 0, 2, 0, 1, 0, 0, 0],
+            "shape": "((LL)((((LL)L)L)(((LL)L)L)))"}
+
+    def test_json_form_is_injective(self):
+        # Distinct canonical terms have distinct JSON forms, so the form
+        # names the term it was written from.
+        for n in range(1, 6):
+            forms = {json.dumps(to_json_obj(term)) for term in enumerate_canonical(n)}
+            assert len(forms) == count_canonical(n)
 
     def test_json_requires_canonical(self):
         with pytest.raises(CanonicalityError):
             to_json_obj((0, 1))
-        with pytest.raises(CanonicalityError):
-            from_json_obj({"rgs": [0, 1], "shape": "(LL)"})
 
 
 @given(terms_up_to_20_vars())
@@ -304,4 +309,4 @@ def test_canonical_form_round_trips(term):
     assert is_canonical(c)
     assert shape_of(c) == shape_of(term)
     assert parse(render(c)) == c
-    assert from_json_obj(to_json_obj(c)) == c
+    assert to_json_obj(c) == {"rgs": leaf_vars(c), "shape": shape_string(shape_of(c))}
