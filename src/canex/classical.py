@@ -163,10 +163,6 @@ class TautologyStatus:
         default=None, compare=False, repr=False)
 
     @property
-    def is_tautology(self) -> bool:
-        return self.status == TAUTOLOGY
-
-    @property
     def witness(self) -> Optional[dict[int, bool]]:
         """A total falsifying valuation of the raw term, built when read.
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import counting, experiment, reference, terms
@@ -30,13 +31,17 @@ def _cmd_count(args) -> int:
 
 
 def _check_writable(*paths) -> None:
-    """Fail before any sample is drawn when an output file cannot be opened."""
+    """Fail before any sample is drawn when an output file cannot be opened;
+    a file the probe creates is removed, so a rejected run leaves none."""
     for path in paths:
         if path:
+            existed = os.path.exists(path)
             try:
                 open(path, "a", encoding="utf-8").close()
             except OSError as exc:
                 raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+            if not existed:
+                os.remove(path)
 
 
 def _cmd_sample(args) -> int:
@@ -52,7 +57,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    term = terms.parse(args.expr, canonical=not args.canonicalize)
+    try:
+        term = terms.parse(args.expr, canonical=not args.canonicalize)
+    except terms.CanonicalityError as exc:
+        raise ValueError(f"{exc}, or pass --canonicalize") from None
     if args.canonicalize:
         term = terms.canonical_form(term)
     cls = experiment.classify(term)

@@ -16,11 +16,10 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .counting import stam_table
-from .terms import (Shape, Term, canonicalize, decode_labelled_vector,
-                    decode_remy_vector, shape_of)
-# Not called here; perfbench's tracer times sampling.attach_vars, so the
-# name stays importable from this module.
-from .terms import attach_vars  # noqa: F401
+from .terms import Shape, Term, canonicalize, decode_labelled_vector
+# Not called here; perfbench's tracer times these three as sampling's names,
+# so they stay importable from this module.
+from .terms import attach_vars, decode_remy_vector, shape_of  # noqa: F401
 
 _TWO64 = 1 << 64
 _MASK64 = _TWO64 - 1
@@ -177,7 +176,7 @@ def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
 
 def random_tree(rng: SplitMix64, n: int) -> Shape:
     """Uniform over the catalan(n-1) shapes with n leaves; linear time."""
-    return shape_of(decode_remy_vector(random_tree_vector(rng, n), n))
+    return decode_labelled_vector(random_tree_vector(rng, n), [None] * n)
 
 
 class ClassDescription(NamedTuple):

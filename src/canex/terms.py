@@ -143,10 +143,6 @@ def is_valid_growth_string(entries: Sequence[int]) -> bool:
             and tuple(entries) == canonicalize(entries))
 
 
-def is_canonical(term: Term) -> bool:
-    return is_valid_growth_string(leaf_vars(term))
-
-
 def canonical_form(term: Term) -> Term:
     """The canonical representative of ``term`` up to variable renaming."""
     return attach_vars(term, canonicalize(leaf_vars(term)))
@@ -252,23 +248,20 @@ def _leaves_under(entries: Sequence[int], node: int, other: int, total: int) -> 
             return total - ((steps + 1) >> 1)
 
 
-def _simple_at(entries: Sequence[int], labels: Sequence, node: int, start: int,
-               size: int) -> bool:
-    """``is_simple`` of the subtree at ``node``: ``size`` leaves from ``start``."""
-    goal = labels[start + size - 1]
+def _premises(entries: Sequence[int], node: int, start: int, size: int):
+    """``(premise, first leaf, leaf count)`` down the spine of the subtree at
+    ``node``, whose ``size`` leaves start at leaf ``start``.
+
+    Each premise's leaves follow the previous premise's; a compound one's
+    count comes from ``_leaves_under`` against its tail.
+    """
     while node & 1:
         premise = entries[node]
         node = entries[node + 1]
-        if not premise & 1:
-            if labels[start] == goal:
-                return True
-            start += 1
-            size -= 1
-        else:
-            k = _leaves_under(entries, premise, node, size)
-            start += k
-            size -= k
-    return False
+        k = _leaves_under(entries, premise, node, size) if premise & 1 else 1
+        yield premise, start, k
+        start += k
+        size -= k
 
 
 def spine_filters(entries: Sequence[int], labels: Sequence) -> tuple[bool, bool, bool]:
@@ -277,10 +270,8 @@ def spine_filters(entries: Sequence[int], labels: Sequence) -> tuple[bool, bool,
 
     The three filters only compare leaf labels for equality, which
     ``canonicalize`` preserves, so ``labels`` may be raw class labels rather
-    than a growth string.  Walking down the spine, each premise's first leaf
-    is the leaf after the previous premise; its goal is its last leaf, and
-    its leaf count comes from ``_leaves_under`` against its tail.  A premise
-    whose goal is the term's goal gets the same walk one level down, for
+    than a growth string.  ``_premises`` walks the spine; a premise whose goal
+    (its last leaf) is the term's goal gets the same walk one level down, for
     ``is_simple``.  The vector is trusted as in ``decode_labelled_vector``.
     """
     n = len(labels)
@@ -288,20 +279,14 @@ def spine_filters(entries: Sequence[int], labels: Sequence) -> tuple[bool, bool,
         raise ValueError(f"{n} labels for a vector of {len(entries)} entries")
     goal = labels[-1]
     antilogy = non_taut = True
-    node = entries[0]
-    start = 0  # first leaf of the premise at node's left
-    rest = n  # leaves under node
-    while node & 1:
-        premise = entries[node]
-        node = entries[node + 1]
-        size = _leaves_under(entries, premise, node, rest) if premise & 1 else 1
-        if labels[start + size - 1] == goal:
+    for premise, first, size in _premises(entries, entries[0], 0, n):
+        if labels[first + size - 1] == goal:
             if size == 1:  # the goal itself: simple, so neither antilogy kind
                 return True, False, False
             non_taut = False
-            antilogy = antilogy and _simple_at(entries, labels, premise, start, size)
-        start += size
-        rest -= size
+            antilogy = antilogy and any(
+                k == 1 and labels[leaf] == goal
+                for _, leaf, k in _premises(entries, premise, first, size))
     return False, antilogy, non_taut
 
 
@@ -359,9 +344,9 @@ def parse(text: str, *, canonical: bool = True) -> Term:
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty expression", 0)
-    saved: list[list] = []
-    open_at: list[int] = []  # token index of each unclosed '('
+    saved: list[tuple[int, list]] = []  # (token index, outer operands) per unclosed '('
     current: list = []
+    indices: list[int] = []  # variable indices in reading order
     expect_operand = True
     for i, tok in enumerate(tokens):
         if tok == "->":
@@ -372,8 +357,7 @@ def parse(text: str, *, canonical: bool = True) -> Term:
             if expect_operand or not saved:
                 raise ParseError("unbalanced or empty parentheses", _offset(text, i))
             inner = _fold_right(current)
-            current = saved.pop()
-            open_at.pop()
+            current = saved.pop()[1]
             current.append(inner)
         elif len(tok) == 1 and tok != "(":
             raise ParseError(_BAD_TOKEN.get(tok, f"unexpected character {tok!r}"),
@@ -381,39 +365,41 @@ def parse(text: str, *, canonical: bool = True) -> Term:
         elif not expect_operand:
             raise ParseError("expected '->' or ')'", _offset(text, i))
         elif tok == "(":
-            saved.append(current)
-            open_at.append(i)
+            saved.append((i, current))
             current = []
         else:
             try:
-                current.append(int(tok[1:]))
+                indices.append(int(tok[1:]))
             except ValueError:  # more digits than int() reads
                 raise ParseError("variable index too long", _offset(text, i)) from None
+            current.append(indices[-1])
             expect_operand = False
     if expect_operand:
         raise ParseError("dangling '->'", len(text))
     if saved:
-        raise ParseError("unclosed '('", _offset(text, open_at[-1]))
-    term = _fold_right(current)
-    if canonical and not is_canonical(term):
+        raise ParseError("unclosed '('", _offset(text, saved[-1][0]))
+    if canonical and not is_valid_growth_string(indices):
         raise CanonicalityError(
             "variable numbering is not canonical (rightmost variable is a0 and "
             "new variables are numbered right to left); use canonical_form to renumber")
-    return term
+    return _fold_right(current)
 
 
 def shape_string(shape: Shape) -> str:
-    """Balanced-paren encoding: ``L`` for a leaf, ``(XY)`` for a node."""
+    """Balanced-paren encoding: ``L`` for a leaf, ``(XY)`` for a node.
+
+    Any non-tuple is a leaf, so ``shape`` may be a term.
+    """
     out = []
     work = [shape]
     while work:
         node = work.pop()
         if isinstance(node, str):
             out.append(node)
-        elif node is None:
-            out.append("L")
-        else:
+        elif isinstance(node, tuple):
             work += [")", node[1], node[0], "("]
+        else:
+            out.append("L")
     return "".join(out)
 
 
@@ -422,4 +408,4 @@ def to_json_obj(term: Term) -> dict:
     vars_ = leaf_vars(term)
     if not is_valid_growth_string(vars_):
         raise CanonicalityError("only canonical terms have a JSON form")
-    return {"rgs": vars_, "shape": shape_string(shape_of(term))}
+    return {"rgs": vars_, "shape": shape_string(term)}

@@ -82,9 +82,10 @@ class TestClassify:
         assert payload["witness"] == {"a0": False, "a1": True}
 
     def test_non_canonical_rejected(self, capsys):
-        code, _, err = run_cli(["classify", "--expr", "a0->a1"], capsys)
-        assert code == 2
-        assert "canonical" in err
+        code, out, err = run_cli(["classify", "--expr", "a0->a1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: variable numbering is not canonical")
+        assert err.endswith("or pass --canonicalize\n")  # the flag, not only the function
 
     def test_canonicalize_flag(self, capsys):
         code, out, _ = run_cli(
@@ -156,6 +157,15 @@ class TestExperiment:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {path}: No such file or directory\n"
 
+    def test_rejected_run_leaves_no_empty_file(self, capsys, tmp_path):
+        out_csv = tmp_path / "row.csv"
+        dump = tmp_path / "missing" / "dump.jsonl"
+        code, _, _ = run_cli(
+            ["experiment", "--n", "5", "--count", "10", "--out-csv", str(out_csv),
+             "--dump-jsonl", str(dump)], capsys)
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRnTable:
     def test_csv_written(self, capsys, tmp_path):
@@ -193,6 +203,19 @@ class TestRnTable:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args", [["--sizes", "1"], ["--count", "0"],
+                                      ["--workers", "0"]])
+    def test_rejected_run_leaves_output_files_as_they_were(self, capsys, tmp_path,
+                                                           args):
+        new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+        kept.write_text("earlier run\n")
+        for path in (new, kept):
+            code, _, _ = run_cli(["rntable", "--sizes", "4", *args,
+                                  "--out-csv", str(path)], capsys)
+            assert code == 2
+        assert not new.exists()
+        assert kept.read_text() == "earlier run\n"
 
 
 class TestInstalledEntryPoint:

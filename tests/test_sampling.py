@@ -127,6 +127,21 @@ class TestRandomTree:
         labels = leaf_vars(tree)
         assert sorted(labels) == sorted(range(0, 199, 2))
 
+    def test_one_walk_of_the_vector(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the vector was decoded and its labels dropped")
+
+        monkeypatch.setattr(sampling, "decode_remy_vector", refuse)
+        monkeypatch.setattr(sampling, "shape_of", refuse)
+        assert random_tree(SplitMix64(9), 3) in all_shapes(3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
+    def test_shape_of_the_decoded_vector(self, n):
+        for i in range(20):
+            vector = random_tree_vector(stream_for_sample(4242, i), n)
+            expected = shape_of(decode_remy_vector(vector, n))
+            assert random_tree(stream_for_sample(4242, i), n) == expected
+
     def test_exactly_n_minus_one_draws(self):
         rng, fresh = SplitMix64(3), SplitMix64(3)
         random_tree(rng, 64)

@@ -6,9 +6,10 @@ import pytest
 from conftest import left_chain, terms_up_to_20_vars
 from hypothesis import given
 
+from canex import terms
 from canex.terms import (CanonicalityError, ParseError, RemyVectorError,
                          attach_vars, canonical_form, canonicalize,
-                         decode_labelled_vector, decode_remy_vector, is_canonical,
+                         decode_labelled_vector, decode_remy_vector,
                          is_valid_growth_string, leaf_count, leaf_vars, parse,
                          render, shape_of, shape_string, spine, to_json_obj)
 from canex.counting import count_canonical
@@ -36,6 +37,10 @@ SINGLE_ERRORS = [
     ("(", "dangling '->'", 1),
     ("a0)(", "unbalanced or empty parentheses", 2),
 ]
+
+
+def refuse(*args):
+    raise AssertionError("a second walk of the term")
 
 
 def reference_renumber(tokens):
@@ -265,9 +270,15 @@ class TestRenderParse:
         term = parse("((a1->a0)->a1)->a1", canonical=False)
         assert canonical_form(term) == parse("((a0->a1)->a0)->a0")
 
-    def test_is_canonical(self):
-        assert is_canonical(parse("a1->a0->a0"))
-        assert not is_canonical((0, 1))
+    def test_numbering_checked_while_parsing(self, monkeypatch):
+        # The indices are checked as read; the parsed term is not walked again.
+        monkeypatch.setattr(terms, "leaf_vars", refuse)
+        assert parse("a1->a0->a0") == (1, (0, 0))
+        assert render(parse(TEN_LEAF_TEXT)) == TEN_LEAF_TEXT
+        for text in ("a0->a1", "(a1->a0)->a2->a0", "(a0->a1)->a2->a0"):
+            with pytest.raises(CanonicalityError):
+                parse(text)
+            assert render(parse(text, canonical=False)) == text
 
 
 class TestShapeAndJson:
@@ -298,6 +309,11 @@ class TestShapeAndJson:
             forms = {json.dumps(to_json_obj(term)) for term in enumerate_canonical(n)}
             assert len(forms) == count_canonical(n)
 
+    def test_json_form_reads_the_shape_off_the_term(self, monkeypatch):
+        monkeypatch.setattr(terms, "shape_of", refuse)
+        assert to_json_obj(parse("(a1->a0)->a0")) == {"rgs": [1, 0, 0],
+                                                      "shape": "((LL)L)"}
+
     def test_json_requires_canonical(self):
         with pytest.raises(CanonicalityError):
             to_json_obj((0, 1))
@@ -306,7 +322,7 @@ class TestShapeAndJson:
 @given(terms_up_to_20_vars())
 def test_canonical_form_round_trips(term):
     c = canonical_form(term)
-    assert is_canonical(c)
+    assert is_valid_growth_string(leaf_vars(c))
     assert shape_of(c) == shape_of(term)
     assert parse(render(c)) == c
     assert to_json_obj(c) == {"rgs": leaf_vars(c), "shape": shape_string(shape_of(c))}
