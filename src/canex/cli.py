@@ -6,6 +6,7 @@ Subcommands: sample, classify, experiment, enumerate, count, rntable.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -22,11 +23,12 @@ def _add_seed(parser, default=experiment.DEFAULT_SEED):
 
 def _cmd_count(args) -> int:
     n = args.n
-    total = counting.count_canonical(n)
-    row = (f"{n},{counting.catalan(n - 1)},{counting.bell(n)},{total},"
-           f"{repr(counting.log10_count_estimate(n)) if n >= 2 else ''}")
+    total = counting.count_canonical(n)  # checks n; bell(n) is computed here only
+    catalan = counting.catalan(n - 1)
+    # Decimal prints an int of any length; str(int) stops at 4300 digits.
+    exact = ",".join(str(decimal.Decimal(x)) for x in (catalan, total // catalan, total))
     print("n,catalan,bell,total,log10Estimate")
-    print(row)
+    print(f"{n},{exact},{repr(counting.log10_count_estimate(n)) if n >= 2 else ''}")
     return 0
 
 
@@ -173,11 +175,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (ValueError, OSError) as exc:
+        # A write that fails after the probe (a full disk, say) is one line too.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

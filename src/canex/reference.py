@@ -12,7 +12,7 @@ in the context is replaced by its conclusion (invertible, applied eagerly);
 and for a nested implication (C -> D) -> B the two subgoals are
 ``context - {it} + (D -> B) |- C -> D`` and ``context - {it} + B |- goal``.
 Every rule shrinks the sequent weight, so the search terminates without loop
-checks.
+checks. Each call memoizes its own sequents, so no state outlives it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .counting import count_canonical
 from .terms import Shape, Term, attach_vars, leaf_vars
 
 ENUMERATION_CAP = 9
@@ -70,34 +69,26 @@ def enumerate_canonical(n: int) -> Iterator[Term]:
         raise ValueError("expressions have at least one leaf")
     if n > ENUMERATION_CAP:
         raise ValueError(
-            f"enumeration is capped at n={ENUMERATION_CAP}: there would be "
-            f"{count_canonical(n)} expressions")
+            f"enumeration is capped at n={ENUMERATION_CAP}")
     strings = all_growth_strings(n)
     for shape in all_shapes(n):
         for growth in strings:
             yield attach_vars(shape, growth)
 
 
-_sequent_cache: dict = {}
-
-
-def clear_prover_cache() -> None:
-    _sequent_cache.clear()
-
-
 def prove_intuitionistic(term: Term) -> bool:
     """True iff ``term`` is an intuitionistic theorem of the implicational fragment."""
-    return _proves(frozenset(), term)
+    return _proves(frozenset(), term, {})
 
 
-def _proves(context: frozenset, goal: Term) -> bool:
+def _proves(context: frozenset, goal: Term, cache: dict) -> bool:
     while isinstance(goal, tuple):
         context = context | {goal[0]}
         goal = goal[1]
     if goal in context:
         return True
     key = (context, goal)
-    cached = _sequent_cache.get(key)
+    cached = cache.get(key)
     if cached is not None:
         return cached
     # Eagerly discharge implications whose atomic antecedent is present.
@@ -112,7 +103,7 @@ def _proves(context: frozenset, goal: Term) -> bool:
                     work.add(f[1])
                 changed = True
     if goal in work:
-        _sequent_cache[key] = True
+        cache[key] = True
         return True
     saturated = frozenset(work)
     result = False
@@ -120,10 +111,11 @@ def _proves(context: frozenset, goal: Term) -> bool:
         if isinstance(f, tuple) and isinstance(f[0], tuple):
             (c, d), b = f
             rest = saturated - {f}
-            if _proves(rest | {(d, b)}, (c, d)) and _proves(rest | {b}, goal):
+            if (_proves(rest | {(d, b)}, (c, d), cache)
+                    and _proves(rest | {b}, goal, cache)):
                 result = True
                 break
-    _sequent_cache[key] = result
+    cache[key] = result
     return result
 
 

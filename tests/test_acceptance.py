@@ -20,9 +20,8 @@ from canex.counting import count_canonical, log10_count_estimate
 from canex.experiment import (DEFAULT_SEED, ExperimentConfig, run_experiment,
                               simple_rate)
 from canex.intuition import cheap_verdict
-from canex.reference import (chi_square, clear_prover_cache,
-                             enumerate_canonical, prove_intuitionistic,
-                             truth_table_tautology)
+from canex.reference import (chi_square, enumerate_canonical,
+                             prove_intuitionistic, truth_table_tautology)
 from canex.sampling import (random_canonical, random_partition, random_tree,
                             stream_for_sample, to_growth_string)
 from canex.terms import distinct_vars
@@ -222,13 +221,11 @@ def test_criterion_6_soundness_exhaustive_and_sampled():
     started = time.perf_counter()
     violations = []
     for n in range(1, 8):
-        clear_prover_cache()
         for term in enumerate_canonical(n):
             violations.extend(_soundness_violations(term))
         if violations:
             break
     exhaustive_elapsed = time.perf_counter() - started
-    clear_prover_cache()
     for index in range(10000):
         term = random_canonical(stream_for_sample(DEFAULT_SEED, index), 25)
         violations.extend(_soundness_violations(term))

@@ -1,4 +1,6 @@
+import decimal
 import json
+import os
 import subprocess
 import sys
 
@@ -6,7 +8,7 @@ import pytest
 from conftest import left_chain
 
 from canex.cli import main
-from canex import experiment
+from canex import counting, experiment
 from canex.terms import canonical_form, parse, render, to_json_obj
 
 
@@ -36,6 +38,29 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err == "error: expressions have at least one leaf\n"
+
+    def test_bell_computed_once(self, capsys, monkeypatch):
+        calls = []
+        bell = counting.bell
+
+        def counted(n):
+            calls.append(n)
+            return bell(n)
+
+        monkeypatch.setattr(counting, "bell", counted)
+        code, out, _ = run_cli(["count", "--n", "40"], capsys)
+        assert code == 0
+        assert calls == [40]
+        assert out.split("\n")[1].split(",")[2] == str(bell(40))
+
+    def test_exact_past_the_int_to_str_limit(self, capsys):
+        # bell(1598) has more than 4300 digits; int() and str() refuse it.
+        code, out, err = run_cli(["count", "--n", "1598"], capsys)
+        assert (code, err) == (0, "")
+        cells = out.split("\n")[1].split(",")
+        catalan, bell = counting.catalan(1597), counting.bell(1598)
+        assert cells[1:4] == [str(decimal.Decimal(x))
+                              for x in (catalan, bell, catalan * bell)]
 
 
 class TestSample:
@@ -123,6 +148,15 @@ class TestEnumerate:
     def test_cap_refusal(self, capsys):
         code, _, err = run_cli(["enumerate", "--n", "10"], capsys)
         assert code == 2
+        assert "capped" in err
+
+    def test_cap_refusal_computes_no_count(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a Bell number was computed")
+
+        monkeypatch.setattr(counting, "bell", refuse)
+        code, out, err = run_cli(["enumerate", "--n", "3000"], capsys)
+        assert (code, out) == (2, "")
         assert "capped" in err
 
 
@@ -216,6 +250,28 @@ class TestRnTable:
             assert code == 2
         assert not new.exists()
         assert kept.read_text() == "earlier run\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["experiment", "--n", "5", "--count", "5", "--out-csv", "/dev/full"],
+    ["experiment", "--n", "5", "--count", "5", "--dump-jsonl", "/dev/full"],
+    ["rntable", "--sizes", "4", "--count", "5", "--out-csv", "/dev/full"],
+])
+def test_failed_write_is_one_error_line(capsys, args):
+    # The probe opens /dev/full; the write after sampling is what fails.
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
+def test_broken_pipe_exits_zero(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(experiment, "emit_report", broken)
+    code, _, err = run_cli(["experiment", "--n", "5", "--count", "5"], capsys)
+    assert (code, err) == (0, "")
 
 
 class TestInstalledEntryPoint:

@@ -5,9 +5,10 @@ import pytest
 
 from canex.classical import evaluate
 from canex.counting import bell, catalan, count_canonical
+from canex import reference
 from canex.reference import (all_growth_strings, all_shapes, chi_square,
-                             clear_prover_cache, enumerate_canonical,
-                             prove_intuitionistic, truth_table_tautology)
+                             enumerate_canonical, prove_intuitionistic,
+                             truth_table_tautology)
 from canex.terms import (distinct_vars, is_valid_growth_string, leaf_count,
                          leaf_vars, parse, render, spine)
 
@@ -114,10 +115,18 @@ class TestProver:
         assert not prove_intuitionistic(parse("((a1->a0)->a1)->a1", canonical=False))
 
     def test_agrees_with_bounded_nd_search(self):
-        clear_prover_cache()
         for n in range(1, 6):
             for term in enumerate_canonical(n):
                 assert prove_intuitionistic(term) == nd_provable(term)
+
+    def test_no_state_outlives_a_call(self):
+        # No module-level cache, so there is nothing for a caller to reset.
+        assert not [name for name, value in vars(reference).items()
+                    if isinstance(value, (dict, list, set)) and not name.startswith("__")]
+        terms = [t for n in range(1, 6) for t in enumerate_canonical(n)]
+        forward = [prove_intuitionistic(t) for t in terms]
+        backward = [prove_intuitionistic(t) for t in reversed(terms)]
+        assert forward == backward[::-1]
 
     def test_provable_implies_tautology(self):
         for n in range(1, 7):
