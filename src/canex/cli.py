@@ -15,6 +15,10 @@ from . import counting, experiment, reference, terms
 from .classical import NOT_TAUTOLOGY
 from .sampling import random_canonical, stream_for_sample
 
+# The Bell triangle behind bell(n) adds about n^2 / 2 integers of up to
+# n log n digits: seconds at the cap, about 20 minutes at n = 30000.
+COUNT_CAP = 5000
+
 
 def _add_seed(parser, default=experiment.DEFAULT_SEED):
     parser.add_argument("--seed", type=int, default=default,
@@ -23,6 +27,8 @@ def _add_seed(parser, default=experiment.DEFAULT_SEED):
 
 def _cmd_count(args) -> int:
     n = args.n
+    if n > COUNT_CAP:
+        raise ValueError(f"count is capped at n={COUNT_CAP}")
     total = counting.count_canonical(n)  # checks n; bell(n) is computed here only
     catalan = counting.catalan(n - 1)
     # Decimal prints an int of any length; str(int) stops at 4300 digits.

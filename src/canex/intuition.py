@@ -45,10 +45,6 @@ def is_mp(term: Term) -> bool:
     return bool(wanted) and not set(variables).isdisjoint(wanted)
 
 
-def is_easy(term: Term) -> bool:
-    return is_simple(term) or is_mp(term)
-
-
 def clean(term: Term) -> Term:
     """Drop easy premises bottom-up, in one pass.
 
@@ -59,28 +55,53 @@ def clean(term: Term) -> Term:
     own stack, so depth is bounded only by memory, and it returns ``term``
     itself when nothing is dropped.
 
+    Each spine is cleaned from its goal up, a compound premise before the
+    node that holds it, and two facts about the cleaned tail ride along:
+    *simple*, some bare premise is the goal, and *wanted*, some compound
+    premise is ``v -> goal`` with ``v`` a variable.  A cleaned compound
+    premise is then easy iff its spine is simple, or is wanted and passes
+    ``is_mp``; no spine is walked twice, and ``is_mp`` runs only on the few
+    wanted ones.
+
     The result proves intuitionistically iff the input does, and it evaluates
     identically under every boolean valuation (dropped premises are theorems).
     """
-    done: list = []
-    work = [term]
-    while work:
-        node = work.pop()
-        if node is None:  # both children are cleaned: join them
-            node = work.pop()
-            right = done.pop()
-            left = done.pop()
-            if isinstance(left, tuple) and is_easy(left):
-                done.append(right)
-            elif left is node[0] and right is node[1]:
-                done.append(node)
+    stack = []  # per open compound premise: its node and its spine's state
+    nodes = []  # the open spines' nodes not yet joined, innermost spine last
+    lo = 0  # where the innermost spine starts in nodes
+    node = term
+    while type(node) is tuple:
+        nodes.append(node)
+        node = node[1]
+    goal = done = node  # done: the cleaned tail below the next node
+    simple = wanted = False
+    while True:
+        while len(nodes) > lo:
+            node = nodes.pop()
+            premise = node[0]
+            if type(premise) is tuple:  # clean it first, as a spine of its own
+                stack.append((node, lo, goal, done, simple, wanted))
+                lo = len(nodes)
+                node = premise
+                while type(node) is tuple:
+                    nodes.append(node)
+                    node = node[1]
+                goal = done = node
+                simple = wanted = False
             else:
-                done.append((left, right))
-        elif isinstance(node, int):
-            done.append(node)
-        else:
-            work += (node, None, node[1], node[0])
-    return done[0]
+                simple = simple or premise == goal
+                done = node if done is node[1] else (premise, done)
+        if not stack:
+            return done
+        premise, easy = done, simple or wanted and is_mp(done)
+        node, lo, goal, done, simple, wanted = stack.pop()
+        if easy:
+            continue
+        if type(premise) is int:  # each premise it had was dropped
+            simple = simple or premise == goal
+        elif premise[1] == goal and type(premise[0]) is int:
+            wanted = True
+        done = node if premise is node[0] and done is node[1] else (premise, done)
 
 
 def is_minor(term: Term) -> bool:

@@ -290,25 +290,49 @@ def spine_filters(entries: Sequence[int], labels: Sequence) -> tuple[bool, bool,
     return False, antilogy, non_taut
 
 
+# Variable names for render, "a{i}" and "a{i}->", keyed by index and grown on
+# demand up to the largest index met below the cap; an index outside them
+# (negative, or at the cap or past it) is formatted where it is met.
+_NAME_CAP = 4096
+_NAMES: dict = {}
+_ARROWED: dict = {}
+
+
+def _name(index: int, arrow: bool) -> str:
+    if 0 <= index < _NAME_CAP:
+        for i in range(len(_NAMES), index + 1):
+            _NAMES[i] = f"a{i}"
+            _ARROWED[i] = f"a{i}->"
+        return (_ARROWED if arrow else _NAMES)[index]
+    return f"a{index}->" if arrow else f"a{index}"
+
+
 def render(term: Term) -> str:
     """Expression text with minimal parentheses; ``->`` associates right."""
+    names, arrowed = _NAMES, _ARROWED
     out = []
     work = [term]
     while work:
         node = work.pop()
-        if isinstance(node, str):
+        if type(node) is str:
             out.append(node)
             continue
         # Down the right spine: a bare-variable premise goes out with its
         # arrow at once; a compound one is bracketed, and the rest waits.
-        while isinstance(node, tuple):
+        while type(node) is tuple:
             prem, node = node
-            if isinstance(prem, tuple):
+            if type(prem) is tuple:
                 work += (node, ")->", prem, "(")
                 break
-            out.append(f"a{prem}->")
+            try:
+                out.append(arrowed[prem])
+            except KeyError:
+                out.append(_name(prem, True))
         else:
-            out.append(f"a{node}")
+            try:
+                out.append(names[node])
+            except KeyError:
+                out.append(_name(node, False))
     return "".join(out)
 
 

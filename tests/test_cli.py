@@ -53,6 +53,16 @@ class TestCount:
         assert calls == [40]
         assert out.split("\n")[1].split(",")[2] == str(bell(40))
 
+    def test_cap_refusal_computes_no_count(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a Bell number was computed")
+
+        monkeypatch.setattr(counting, "bell", refuse)
+        for n in (5001, 30000):
+            code, out, err = run_cli(["count", "--n", str(n)], capsys)
+            assert (code, out) == (2, "")
+            assert err == "error: count is capped at n=5000\n"
+
     def test_exact_past_the_int_to_str_limit(self, capsys):
         # bell(1598) has more than 4300 digits; int() and str() refuse it.
         code, out, err = run_cli(["count", "--n", "1598"], capsys)

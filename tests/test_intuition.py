@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from canex import intuition
 from canex.classical import TAUTOLOGY, evaluate
 from canex.experiment import classify
-from canex.intuition import (cheap_verdict, clean, is_easy, is_minor, is_mp,
-                             is_simple)
+from canex.intuition import cheap_verdict, clean, is_minor, is_mp, is_simple
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
 from canex.sampling import random_canonical, stream_for_sample
@@ -52,9 +51,36 @@ def reference_is_minor(term):
     return False
 
 
+def is_easy(term):
+    return is_simple(term) or is_mp(term)
+
+
+def reference_clean(term):
+    """The node-by-node clean that tests is_easy on every compound left child."""
+    done = []
+    work = [term]
+    while work:
+        node = work.pop()
+        if node is None:  # both children are cleaned: join them
+            node = work.pop()
+            right = done.pop()
+            left = done.pop()
+            if isinstance(left, tuple) and is_easy(left):
+                done.append(right)
+            elif left is node[0] and right is node[1]:
+                done.append(node)
+            else:
+                done.append((left, right))
+        elif isinstance(node, int):
+            done.append(node)
+        else:
+            work += (node, None, node[1], node[0])
+    return done[0]
+
+
 def assert_matches_references(term):
-    # The top spine and every premise met below it: clean tests is_easy on
-    # every compound left child.
+    # The top spine and every premise met below it, on the raw term and on
+    # the cleaned one: the spines that clean and the cascade read.
     work = [term]
     while work:
         node = work.pop()
@@ -146,6 +172,61 @@ class TestClean:
         for n in range(1, 7):
             for term in enumerate_canonical(n):
                 assert prove_intuitionistic(term) == prove_intuitionistic(clean(term))
+
+    @staticmethod
+    def assert_matches_reference_clean(term):
+        expected = reference_clean(term)
+        cleaned = clean(term)
+        assert cleaned == expected, render(term)
+        assert (cleaned is term) == (expected is term), render(term)
+
+    def test_matches_reference_exhaustive(self):
+        for n in range(1, 8):
+            for term in enumerate_canonical(n):
+                self.assert_matches_reference_clean(term)
+
+    @pytest.mark.parametrize("n, count", [(100, 600), (300, 300), (1000, 150)])
+    def test_matches_reference_sampled(self, n, count):
+        for i in range(count):
+            self.assert_matches_reference_clean(random_canonical(stream_for_sample(31, i), n))
+
+    def test_reads_each_spine_once(self, monkeypatch):
+        # Simple comes up the walk, and is_mp runs only on a cleaned premise
+        # that has a premise v -> goal of its own: rarely, not once per
+        # compound premise.
+        calls = []
+
+        def refuse(term):
+            raise AssertionError("is_simple walked a spine clean had read")
+
+        def counted(term):
+            calls.append(term)
+            return is_mp(term)
+
+        monkeypatch.setattr(intuition, "is_simple", refuse)
+        monkeypatch.setattr(intuition, "is_mp", counted)
+        per_term = []
+        for i in range(200):
+            term = random_canonical(stream_for_sample(4242, i), 1000)
+            before = len(calls)
+            clean(term)
+            per_term.append(len(calls) - before)
+        assert max(per_term) <= 10
+        assert sum(per_term) <= 2 * len(per_term)
+
+    @pytest.mark.parametrize("shape", ["left chain", "right spine"])
+    def test_deep_inputs(self, shape):
+        # 10^5 levels either way; texts are compared, since == on deep tuples
+        # recurses.
+        if shape == "left chain":
+            term = left_chain(10 ** 5)
+        else:
+            term = 0
+            for i in range(10 ** 5):
+                term = (i % 7 + 1, term)
+        cleaned, expected = clean(term), reference_clean(term)
+        assert render(cleaned) == render(expected)
+        assert (cleaned is term) == (expected is term)
 
 
 class TestMinor:

@@ -189,7 +189,51 @@ class TestSpine:
         assert goal == 1
 
 
+def reference_render(term):
+    # One f-string per leaf, as render named variables before its tables.
+    out = []
+    work = [term]
+    while work:
+        node = work.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        while isinstance(node, tuple):
+            prem, node = node
+            if isinstance(prem, tuple):
+                work += (node, ")->", prem, "(")
+                break
+            out.append(f"a{prem}->")
+        else:
+            out.append(f"a{node}")
+    return "".join(out)
+
+
 class TestRenderParse:
+    @pytest.mark.parametrize("n", [25, 100, 1000])
+    def test_matches_reference_sampled(self, n):
+        for i in range(100):
+            term = random_canonical(stream_for_sample(13, i), n)
+            assert render(term) == reference_render(term)
+
+    def test_matches_reference_outside_the_tables(self):
+        cap = terms._NAME_CAP
+        for term in (0, -1, cap - 1, cap, 10 ** 30, (0, 0), (-3, -3),
+                     ((cap, -1), (10 ** 30, cap - 1)), (((0, cap + 1), -cap), 0)):
+            assert render(term) == reference_render(term)
+        assert len(terms._NAMES) == len(terms._ARROWED) == cap
+
+    @pytest.mark.parametrize("shape", ["left chain", "right spine"])
+    def test_deep_inputs(self, shape):
+        # 10^5 levels either way; the walk keeps its own stack.
+        if shape == "left chain":
+            term = left_chain(10 ** 5)
+        else:
+            term = 0
+            for i in range(10 ** 5):
+                term = (i % 7 + 1, term)
+        assert render(term) == reference_render(term)
+
     def test_right_associative_chain(self):
         assert render((1, (0, 0))) == "a1->a0->a0"
 
