@@ -58,19 +58,30 @@ def goal_of(term: Term) -> int:
 def leaf_vars(term: Term) -> list[int]:
     """Variable indices of the leaves, left to right."""
     out = []
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            stack.append(node[1])
-            stack.append(node[0])
-        else:
-            out.append(node)
-    return out
+    rights = []  # right children still to walk, innermost last
+    node = term
+    while True:
+        while type(node) is tuple:  # down the left spine
+            rights.append(node[1])
+            node = node[0]
+        out.append(node)
+        if not rights:
+            return out
+        node = rights.pop()
 
 
 def leaf_count(term: Term) -> int:
-    return len(leaf_vars(term))
+    """Number of leaves: one more than the number of implications."""
+    count = 1
+    work = [term]  # compound premises still to count
+    while work:
+        node = work.pop()
+        while type(node) is tuple:  # down the right spine
+            count += 1
+            if type(node[0]) is tuple:
+                work.append(node[0])
+            node = node[1]
+    return count
 
 
 def distinct_vars(term: Term) -> set[int]:
@@ -190,37 +201,60 @@ def decode_remy_vector(entries: Sequence[int], n: int) -> Term:
 def decode_labelled_vector(entries: Sequence[int], labels: Sequence[int]) -> Term:
     """The term ``attach_vars(shape_of(decode_remy_vector(entries, n)), labels)``.
 
-    Builds it in one walk of the insertion vector, handing out ``labels`` to
-    the leaves left to right; ``n`` is ``len(labels)``.  The vector is trusted
-    to encode a tree (as ``random_tree_vector`` guarantees); validate foreign
-    vectors with ``decode_remy_vector`` first.  The walk still stops with an
-    error on a vector that does not reach exactly ``n - 1`` internal nodes,
-    so a malformed vector can neither loop nor leave labels unused.
+    Builds it in one walk of the insertion vector, folding each spine from
+    its goal up: a compound premise is built, as a spine of its own, before
+    the node that holds it, and ``labels`` are handed out right to left; ``n``
+    is ``len(labels)``.  The vector is trusted to encode a tree (as
+    ``random_tree_vector`` guarantees); validate foreign vectors with
+    ``decode_remy_vector`` first.  The walk still stops with an error on a
+    vector that does not reach exactly ``n - 1`` internal nodes, so a
+    malformed vector can neither loop nor leave labels unused.
     """
     n = len(labels)
     if len(entries) != 2 * n - 1:
         raise ValueError(f"{n} labels for a vector of {len(entries)} entries "
                          f"({(len(entries) + 1) // 2} leaves)")
-    it = iter(labels)
-    done: list = []
-    work = [entries[0]]
+    stack = []  # per open compound premise: its spine's start and the tail below it
+    nodes = []  # the open spines' internal nodes not yet joined, innermost spine last
+    lo = 0  # where the innermost spine starts in nodes
     internal = 0
-    while work:
-        label = work.pop()
-        if label < 0:  # both children are built: join them
-            right = done.pop()
-            done[-1] = (done[-1], right)
-        elif label & 1:
-            internal += 1
-            if internal == n:
-                raise RemyVectorError("vector reaches more internal nodes than it has")
-            work += (-1, entries[label + 1], entries[label])
-        else:
-            # At most internal + 1 <= n leaves are reached, so labels suffice.
-            done.append(next(it))
+    node = entries[0]
+    while node & 1:
+        internal += 1
+        if internal == n:
+            raise RemyVectorError("vector reaches more internal nodes than it has")
+        nodes.append(node)
+        node = entries[node + 1]
+    # Each internal node reached adds one leaf, so at most internal + 1 <= n
+    # labels are taken and the index never runs below 0.
+    leaf = n - 1
+    done = labels[leaf]  # the built tail below the next node
+    while True:
+        while len(nodes) > lo:
+            node = entries[nodes.pop()]
+            if node & 1:  # a compound premise: build it first
+                stack.append((lo, done))
+                lo = len(nodes)
+                while node & 1:
+                    internal += 1
+                    if internal == n:
+                        raise RemyVectorError(
+                            "vector reaches more internal nodes than it has")
+                    nodes.append(node)
+                    node = entries[node + 1]
+                leaf -= 1
+                done = labels[leaf]
+            else:
+                leaf -= 1
+                done = (labels[leaf], done)
+        if not stack:
+            break
+        premise = done
+        lo, done = stack.pop()
+        done = (premise, done)
     if internal != n - 1:
         raise RemyVectorError("vector does not reach every internal node")
-    return done[0]
+    return done
 
 
 def _leaves_under(entries: Sequence[int], node: int, other: int, total: int) -> int:
@@ -336,24 +370,19 @@ def render(term: Term) -> str:
     return "".join(out)
 
 
+# The whole grammar but the parentheses' balance, as one flat pattern: each
+# variable may have a run of '(' and whitespace before it and a run of ')' and
+# whitespace after it, and variables are joined by '->'.  Each run is a single
+# character class, so the match keeps no backtracking state per parenthesis
+# and stays linear on long whitespace runs.
+_SHAPE = re.compile(r"[( \t\r\n]*a\d+[) \t\r\n]*(?:->[( \t\r\n]*a\d+[) \t\r\n]*)*")
+
 # One token per match: a variable, an arrow, or any other non-whitespace
 # character (a parenthesis, or an error).  Whitespace matches nothing, and
-# ``findall`` skips it one character at a time; a whitespace prefix in the
+# ``finditer`` skips it one character at a time; a whitespace prefix in the
 # pattern would rescan a trailing run from every position, in quadratic time.
 _TOKEN = re.compile(r"a\d+|->|[^ \t\r\n]")
 _BAD_TOKEN = {"a": "expected digits after 'a'", "-": "expected '->'"}
-
-
-def _offset(text: str, i: int) -> int:
-    """Character offset of token ``i``; only error reports need it."""
-    return list(_TOKEN.finditer(text))[i].start()
-
-
-def _fold_right(items: list) -> Term:
-    node = items[-1]
-    for prem in reversed(items[:-1]):
-        node = (prem, node)
-    return node
 
 
 def parse(text: str, *, canonical: bool = True) -> Term:
@@ -364,49 +393,84 @@ def parse(text: str, *, canonical: bool = True) -> Term:
     (the default) the variable numbering must already be canonical; text with
     a foreign numbering raises ``CanonicalityError`` instead of being silently
     renumbered (renumber explicitly via ``canonical_form``).
+
+    Well-formed text is read in one fold, right to left, once ``_SHAPE`` has
+    matched: ``)`` opens a group and ``(`` closes one, and a variable ``v``
+    becomes ``v -> tail`` in front of the tail already built.  The numbering
+    is checked in the same pass.  Malformed text is read again by
+    ``_first_error``, which reports the first error in reading order.
     """
-    tokens = _TOKEN.findall(text)
-    if not tokens:
-        raise ParseError("empty expression", 0)
-    saved: list[tuple[int, list]] = []  # (token index, outer operands) per unclosed '('
-    current: list = []
-    indices: list[int] = []  # variable indices in reading order
+    if _SHAPE.fullmatch(text):
+        words = (text.replace("->", " ").replace("a", " ")
+                 .replace("(", " ( ").replace(")", " ) ").split())
+        saved = []  # per open group: the tail to its right, or None
+        node = None  # the fold of the innermost open group so far
+        top = -1  # the largest index met, right to left
+        foreign = False
+        try:
+            for word in reversed(words):
+                if word > ")":  # digits sort after both parentheses
+                    index = int(word)
+                    if index > top:  # a new variable must take the next index
+                        foreign = foreign or index > top + 1
+                        top = index
+                    node = index if node is None else (index, node)
+                elif word == ")":
+                    saved.append(node)
+                    node = None
+                else:
+                    tail = saved.pop()
+                    if tail is not None:
+                        node = (node, tail)
+        except (IndexError, ValueError):  # unbalanced, or more digits than int() reads
+            pass
+        else:
+            if not saved:
+                if canonical and foreign:
+                    raise CanonicalityError(
+                        "variable numbering is not canonical (rightmost variable is a0 "
+                        "and new variables are numbered right to left); use "
+                        "canonical_form to renumber")
+                return node
+    raise _first_error(text)
+
+
+def _first_error(text: str) -> ParseError:
+    """The first error in reading order of text that ``parse`` refused.
+
+    Reads the tokens left to right, keeping only what the errors need: whether
+    an operand is due, and where each unclosed ``(`` is.  It builds no term.
+    """
+    if not text.strip(" \t\r\n"):
+        return ParseError("empty expression", 0)
+    opened: list[int] = []  # offsets of the unclosed '('
     expect_operand = True
-    for i, tok in enumerate(tokens):
+    for match in _TOKEN.finditer(text):
+        tok, at = match.group(), match.start()
         if tok == "->":
             if expect_operand:
-                raise ParseError("expected a variable or '('", _offset(text, i))
+                return ParseError("expected a variable or '('", at)
             expect_operand = True
         elif tok == ")":
-            if expect_operand or not saved:
-                raise ParseError("unbalanced or empty parentheses", _offset(text, i))
-            inner = _fold_right(current)
-            current = saved.pop()[1]
-            current.append(inner)
+            if expect_operand or not opened:
+                return ParseError("unbalanced or empty parentheses", at)
+            opened.pop()
         elif len(tok) == 1 and tok != "(":
-            raise ParseError(_BAD_TOKEN.get(tok, f"unexpected character {tok!r}"),
-                             _offset(text, i))
+            return ParseError(_BAD_TOKEN.get(tok, f"unexpected character {tok!r}"), at)
         elif not expect_operand:
-            raise ParseError("expected '->' or ')'", _offset(text, i))
+            return ParseError("expected '->' or ')'", at)
         elif tok == "(":
-            saved.append((i, current))
-            current = []
+            opened.append(at)
         else:
             try:
-                indices.append(int(tok[1:]))
+                int(tok[1:])
             except ValueError:  # more digits than int() reads
-                raise ParseError("variable index too long", _offset(text, i)) from None
-            current.append(indices[-1])
+                return ParseError("variable index too long", at)
             expect_operand = False
     if expect_operand:
-        raise ParseError("dangling '->'", len(text))
-    if saved:
-        raise ParseError("unclosed '('", _offset(text, saved[-1][0]))
-    if canonical and not is_valid_growth_string(indices):
-        raise CanonicalityError(
-            "variable numbering is not canonical (rightmost variable is a0 and "
-            "new variables are numbered right to left); use canonical_form to renumber")
-    return _fold_right(current)
+        return ParseError("dangling '->'", len(text))
+    # The text was refused, and only an unclosed '(' is left to blame.
+    return ParseError("unclosed '('", opened[-1])
 
 
 def shape_string(shape: Shape) -> str:

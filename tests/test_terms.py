@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+import re
 import time
 
 import pytest
@@ -14,7 +16,7 @@ from canex.terms import (CanonicalityError, ParseError, RemyVectorError,
                          render, shape_of, shape_string, spine, to_json_obj)
 from canex.counting import count_canonical
 from canex.reference import enumerate_canonical
-from canex.sampling import random_canonical, stream_for_sample
+from canex.sampling import random_canonical, random_tree_vector, stream_for_sample
 
 TEN_LEAF_TEXT = "(a0->a2)->(((a2->a0)->a2)->a0)->((a1->a0)->a0)->a0"
 
@@ -172,6 +174,63 @@ class TestDecodeLabelledVector:
             decode_labelled_vector([0, 2, 0], [1, 0])  # root is a leaf
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
+def test_decode_labelled_vector_matches_attach_vars(n):
+    # The labels are handed out right to left; the term must not change.
+    for i in range(20):
+        vector = random_tree_vector(stream_for_sample(2468, i), n)
+        labels = [(i * k + 3) % 7 for k in range(n)]
+        expected = attach_vars(shape_of(decode_remy_vector(vector, n)), labels)
+        assert render(decode_labelled_vector(vector, labels)) == render(expected)
+
+
+def test_decode_labelled_vector_bounds_each_descent():
+    # The goal's own spine loops back to the root; then a premise's spine does.
+    for vector in ([1, 0, 1], [1, 1, 0], [1, 3, 0, 1, 2]):
+        with pytest.raises(RemyVectorError):
+            decode_labelled_vector(vector, [0] * ((len(vector) + 1) // 2))
+
+
+def reference_leaf_vars(term):
+    # The node-by-node walk leaf_vars used before it went down left spines.
+    out = []
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.append(node[1])
+            stack.append(node[0])
+        else:
+            out.append(node)
+    return out
+
+
+class TestLeafWalks:
+    @pytest.mark.parametrize("n", [1, 25, 100, 1000])
+    def test_match_reference_sampled(self, n):
+        for i in range(50):
+            term = random_canonical(stream_for_sample(31, i), n)
+            assert leaf_vars(term) == reference_leaf_vars(term)
+            assert leaf_count(term) == n
+
+    def test_match_reference_exhaustive_small(self):
+        for n in range(1, 7):
+            for term in enumerate_canonical(n):
+                assert leaf_vars(term) == reference_leaf_vars(term)
+                assert leaf_count(term) == n
+
+    @pytest.mark.parametrize("shape", ["left chain", "right spine"])
+    def test_deep_inputs(self, shape):
+        if shape == "left chain":
+            term = left_chain(10 ** 5)
+        else:
+            term = 0
+            for i in range(10 ** 5):
+                term = (i % 7 + 1, term)
+        assert leaf_vars(term) == reference_leaf_vars(term)
+        assert leaf_count(term) == 10 ** 5 + 1
+
+
 class TestSpine:
     def test_two_premises(self):
         premises, goal = spine(parse("a1->a0->a0"))
@@ -207,6 +266,87 @@ def reference_render(term):
         else:
             out.append(f"a{node}")
     return "".join(out)
+
+
+# The token-by-token parser parse used before its shape check and fold.
+_REFERENCE_TOKEN = re.compile(r"a\d+|->|[^ \t\r\n]")
+_REFERENCE_BAD_TOKEN = {"a": "expected digits after 'a'", "-": "expected '->'"}
+
+
+def _reference_offset(text, i):
+    return list(_REFERENCE_TOKEN.finditer(text))[i].start()
+
+
+def _reference_fold_right(items):
+    node = items[-1]
+    for prem in reversed(items[:-1]):
+        node = (prem, node)
+    return node
+
+
+def reference_parse(text, *, canonical=True):
+    tokens = _REFERENCE_TOKEN.findall(text)
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    saved = []  # (token index, outer operands) per unclosed '('
+    current = []
+    indices = []  # variable indices in reading order
+    expect_operand = True
+    for i, tok in enumerate(tokens):
+        if tok == "->":
+            if expect_operand:
+                raise ParseError("expected a variable or '('", _reference_offset(text, i))
+            expect_operand = True
+        elif tok == ")":
+            if expect_operand or not saved:
+                raise ParseError("unbalanced or empty parentheses",
+                                 _reference_offset(text, i))
+            inner = _reference_fold_right(current)
+            current = saved.pop()[1]
+            current.append(inner)
+        elif len(tok) == 1 and tok != "(":
+            raise ParseError(_REFERENCE_BAD_TOKEN.get(tok, f"unexpected character {tok!r}"),
+                             _reference_offset(text, i))
+        elif not expect_operand:
+            raise ParseError("expected '->' or ')'", _reference_offset(text, i))
+        elif tok == "(":
+            saved.append((i, current))
+            current = []
+        else:
+            try:
+                indices.append(int(tok[1:]))
+            except ValueError:
+                raise ParseError("variable index too long",
+                                 _reference_offset(text, i)) from None
+            current.append(indices[-1])
+            expect_operand = False
+    if expect_operand:
+        raise ParseError("dangling '->'", len(text))
+    if saved:
+        raise ParseError("unclosed '('", _reference_offset(text, saved[-1][0]))
+    if canonical and not is_valid_growth_string(indices):
+        raise CanonicalityError(
+            "variable numbering is not canonical (rightmost variable is a0 and "
+            "new variables are numbered right to left); use canonical_form to renumber")
+    return _reference_fold_right(current)
+
+
+def parse_outcome(parser, text, canonical):
+    """The rendered term, or the error's type, message and offset."""
+    try:
+        return render(parser(text, canonical=canonical))
+    except (ParseError, CanonicalityError) as err:
+        return type(err).__name__, str(err), getattr(err, "position", None)
+
+
+# Variables, arrows and parentheses, whitespace, and every kind of stray
+# character the errors name: a bare 'a', a lone '-' or '>', a letter, a
+# form feed (whitespace to str.split, not to the grammar), a superscript
+# digit (no decimal digit), an Arabic-Indic digit (a decimal digit), and an
+# index with more digits than int() reads.
+PARSE_ALPHABET = ([f"a{i}" for i in range(13)] + ["->"] * 8 + ["(", ")"] * 3
+                  + [" ", "\t", "\n", "a", "-", ">", "b", "\x0c", "\u00b2", "\u0663",
+                     "a" + "7" * 5000])
 
 
 class TestRenderParse:
@@ -302,7 +442,61 @@ class TestRenderParse:
         blank = " \t\r\n" * 25000
         started = time.perf_counter()
         assert parse(blank + "a1->" + blank + "a0" + blank) == (1, 0)
+        with pytest.raises(ParseError) as err:
+            parse(blank + "a1" + blank + "a0" + blank)  # no arrow
+        assert str(err.value) == f"expected '->' or ')' (position {2 * len(blank) + 2})"
+        with pytest.raises(ParseError) as err:
+            parse("(" * 30000 + "a0")
+        assert str(err.value) == "unclosed '(' (position 29999)"
         assert time.perf_counter() - started < 5.0
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_matches_reference_on_random_texts(self, canonical):
+        rng = random.Random(2021)
+        outcomes = set()
+        for _ in range(6000):
+            text = "".join(rng.choices(PARSE_ALPHABET, k=rng.randint(0, 12)))
+            expected = parse_outcome(reference_parse, text, canonical)
+            assert parse_outcome(parse, text, canonical) == expected, repr(text)
+            outcomes.add(expected if isinstance(expected, tuple) else "parsed")
+        # Every error kind and both results actually occur.
+        kinds = {o if o == "parsed" else o[1].rsplit(" (", 1)[0] for o in outcomes}
+        assert kinds >= {"parsed", "empty expression", "dangling '->'",
+                         "expected a variable or '('", "unclosed '('",
+                         "unbalanced or empty parentheses", "expected '->' or ')'",
+                         "expected digits after 'a'", "expected '->'",
+                         "unexpected character 'b'", "variable index too long"}
+        assert any(o[0] == "CanonicalityError" for o in outcomes if o != "parsed") \
+            == canonical
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_matches_reference_on_rendered_terms(self, canonical):
+        # Well-formed texts with whitespace let in, and one in four with a
+        # token of the alphabet put in as well.
+        rng = random.Random(77)
+        for i in range(600):
+            term = random_canonical(stream_for_sample(21, i), rng.choice([1, 2, 5, 25, 100]))
+            pieces = re.findall(r"a\d+|->|.", render(term))
+            for _ in range(rng.randint(0, 6)):
+                pieces.insert(rng.randint(0, len(pieces)), rng.choice(" \t\r\n"))
+            if rng.random() < 0.25:
+                pieces.insert(rng.randint(0, len(pieces)), rng.choice(PARSE_ALPHABET))
+            text = "".join(pieces)
+            assert parse_outcome(parse, text, canonical) == \
+                parse_outcome(reference_parse, text, canonical), repr(text)
+
+    def test_well_formed_text_is_read_once(self, monkeypatch):
+        # The error reader runs only on text the shape check or fold refused.
+        monkeypatch.setattr(terms, "_first_error", refuse)
+        assert render(parse(TEN_LEAF_TEXT)) == TEN_LEAF_TEXT
+        for depth in (1500, 3000):
+            text = render(left_chain(depth))
+            assert render(parse(text)) == text
+        blank = " \t\r\n" * 1000
+        assert parse(blank + "(" + blank + "a1->a0" + blank + ")" + blank + "->" + blank
+                     + "a0" + blank) == ((1, 0), 0)
+        with pytest.raises(CanonicalityError):
+            parse("a0->a1")
 
     def test_non_canonical_rejected_distinctly(self):
         with pytest.raises(CanonicalityError):
