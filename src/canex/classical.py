@@ -1,14 +1,14 @@
-"""Classical tautology decisions: valuations, antilogy filter, falsifier search.
+"""Classical tautology decisions: valuations, falsifier search, status pipeline.
 
 The implication semantics is ``val(e -> e') = val(e') or not val(e)``, which
 flattens along a spine: ``val(p1 -> ... -> pk -> g)`` is true exactly when the
 goal is true or some premise is false.  That flattening drives everything
-here: the antilogy filter certifies non-tautologies with the valuation that
-sets the goal false and every other variable true, and the falsifier search
-decomposes signed requirements on subterms, branching only where a choice
-genuinely exists.  The search is complete for any number of variables; only
-its work is bounded, by ``SEARCH_BUDGET`` choice points, so ``unknown`` means
-that budget ran out and nothing else.
+here: the antilogy filter (``terms.term_filters``) certifies non-tautologies
+with the valuation that sets the goal false and every other variable true, and
+the falsifier search decomposes signed requirements on subterms, branching only
+where a choice genuinely exists.  The search is complete for any number of
+variables; only its work is bounded, by ``SEARCH_BUDGET`` choice points, so
+``unknown`` means that budget ran out and nothing else.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .intuition import clean, is_simple
-from .terms import Term, distinct_vars, goal_of, spine
+from .intuition import clean
+from .terms import Term, distinct_vars, goal_of, term_filters
 
 TAUTOLOGY = "tautology"
 NOT_TAUTOLOGY = "not-tautology"
@@ -56,31 +56,6 @@ def evaluate(term: Term, valuation: Mapping[int, bool]) -> bool:
         else:
             work += (None, node[1], node[0])
     return done[0]
-
-
-def is_simple_antilogy(term: Term) -> bool:
-    """Certified non-tautology: every premise survives the goal-false valuation.
-
-    With goal g, each premise must either have a goal different from g (it
-    then evaluates true when everything but g is true) or be simple with goal
-    g (its own false goal appears among its premises).  A bare variable
-    premise counts through its goal, so a premise equal to g itself defeats
-    the filter.  Setting g false and all other variables true then falsifies
-    the whole term.
-    """
-    premises, goal = spine(term)
-    for p in premises:
-        if goal_of(p) != goal:
-            continue
-        if isinstance(p, int) or not is_simple(p):
-            return False
-    return True
-
-
-def is_simple_non_tautology(term: Term) -> bool:
-    """The restricted antilogy class: every premise's goal differs from the goal."""
-    premises, goal = spine(term)
-    return all(goal_of(p) != goal for p in premises)
 
 
 def antilogy_valuation(term: Term) -> dict[int, bool]:
@@ -183,7 +158,7 @@ def tautology_status(term: Term, *, cleaned: Term | None = None) -> TautologySta
     """
     if cleaned is None:
         cleaned = clean(term)
-    if is_simple_antilogy(cleaned):
+    if term_filters(cleaned)[1]:
         return TautologyStatus(NOT_TAUTOLOGY, CERT_ANTILOGY, term=term,
                                falsifier={goal_of(cleaned): False})
     try:

@@ -20,10 +20,10 @@ from typing import Optional
 
 from . import sampling
 from .classical import TAUTOLOGY, UNKNOWN, CERT_ANTILOGY, \
-    TautologyStatus, is_simple_non_tautology, tautology_status
+    TautologyStatus, tautology_status
 from .intuition import IntuitVerdict, cheap_verdict, clean
 from .sampling import stream_for_sample
-from .terms import Term, decode_labelled_vector, render, spine_filters
+from .terms import Term, decode_labelled_vector, render, spine_filters, term_filters
 # Not called here; perfbench's tracer times experiment.is_simple and wraps
 # experiment.random_canonical, so the names stay importable from this module.
 from .intuition import is_simple  # noqa: F401
@@ -66,7 +66,7 @@ def classify(term: Term) -> Classification:
     return Classification(
         verdict=cheap_verdict(term, cleaned=cleaned),
         taut=tautology_status(term, cleaned=cleaned),
-        simple_non_taut=is_simple_non_tautology(term),
+        simple_non_taut=term_filters(term)[2],
     )
 
 

@@ -14,18 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Term, goal_of, leaf_count
+from .terms import Term, goal_of, leaf_count, term_filters
 
 
 def is_simple(term: Term) -> bool:
     """Goal variable occurs as one of the spine premises."""
-    goal = goal_of(term)
-    node = term
-    while isinstance(node, tuple):
-        if node[0] == goal:
-            return True
-        node = node[1]
-    return False
+    return term_filters(term)[0]
 
 
 def is_mp(term: Term) -> bool:

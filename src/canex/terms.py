@@ -282,46 +282,69 @@ def _leaves_under(entries: Sequence[int], node: int, other: int, total: int) -> 
             return total - ((steps + 1) >> 1)
 
 
-def _premises(entries: Sequence[int], node: int, start: int, size: int):
-    """``(premise, first leaf, leaf count)`` down the spine of the subtree at
-    ``node``, whose ``size`` leaves start at leaf ``start``.
-
-    Each premise's leaves follow the previous premise's; a compound one's
-    count comes from ``_leaves_under`` against its tail.
-    """
+def _vector_premises(entries: Sequence[int], labels: Sequence, node: int,
+                     start: int, size: int):
+    """``(goal label, handle)`` per premise, as ``_term_premises`` yields them,
+    down the spine of the subtree at ``node``, whose ``size`` leaves start at
+    leaf ``start``.  A compound premise's handle is ``(premise, first leaf, leaf
+    count)``; ``_leaves_under`` counts its leaves against its tail."""
     while node & 1:
         premise = entries[node]
         node = entries[node + 1]
-        k = _leaves_under(entries, premise, node, size) if premise & 1 else 1
-        yield premise, start, k
+        if premise & 1:
+            k = _leaves_under(entries, premise, node, size)
+            yield labels[start + k - 1], (premise, start, k)
+        else:
+            k = 1
+            yield labels[start], None
         start += k
         size -= k
 
 
-def spine_filters(entries: Sequence[int], labels: Sequence) -> tuple[bool, bool, bool]:
-    """``is_simple``, ``is_simple_antilogy`` and ``is_simple_non_tautology``
-    of ``decode_labelled_vector(entries, labels)``, without building it.
+def _term_premises(term: Term):
+    """``(goal, handle)`` per premise down the spine: None for a bare premise,
+    else the premise."""
+    while type(term) is tuple:
+        premise, term = term
+        yield (goal_of(premise), premise) if type(premise) is tuple else (premise, None)
 
-    The three filters only compare leaf labels for equality, which
-    ``canonicalize`` preserves, so ``labels`` may be raw class labels rather
-    than a growth string.  ``_premises`` walks the spine; a premise whose goal
-    (its last leaf) is the term's goal gets the same walk one level down, for
-    ``is_simple``.  The vector is trusted as in ``decode_labelled_vector``.
+
+def _filters(goal, premises, below) -> tuple[bool, bool, bool]:
+    """Simple, simple antilogy and restricted non-tautology of a spine.
+
+    ``premises`` reads the spine as ``_term_premises`` does, and ``below``
+    reads a compound premise's spine from its handle.  Simple: a bare premise
+    is the goal.  Simple antilogy: each premise with the goal as its goal is
+    compound and simple, so the goal false and all else true falsifies the
+    term.  Restricted non-tautology: no premise has the goal as its goal.
+    """
+    antilogy = non_taut = True
+    for premise_goal, handle in premises:
+        if premise_goal == goal:
+            if handle is None:  # the goal itself: simple, so neither antilogy kind
+                return True, False, False
+            non_taut = False
+            antilogy = antilogy and any(h is None and g == goal for g, h in below(handle))
+    return False, antilogy, non_taut
+
+
+def term_filters(term: Term) -> tuple[bool, bool, bool]:
+    """Simple, simple antilogy and restricted non-tautology of ``term``."""
+    return _filters(goal_of(term), _term_premises(term), _term_premises)
+
+
+def spine_filters(entries: Sequence[int], labels: Sequence) -> tuple[bool, bool, bool]:
+    """``term_filters(decode_labelled_vector(entries, labels))``, with no term built.
+
+    The filters only compare leaf labels for equality, which ``canonicalize``
+    preserves, so ``labels`` may be raw class labels.  The vector is trusted
+    as in ``decode_labelled_vector``.
     """
     n = len(labels)
     if len(entries) != 2 * n - 1:
         raise ValueError(f"{n} labels for a vector of {len(entries)} entries")
-    goal = labels[-1]
-    antilogy = non_taut = True
-    for premise, first, size in _premises(entries, entries[0], 0, n):
-        if labels[first + size - 1] == goal:
-            if size == 1:  # the goal itself: simple, so neither antilogy kind
-                return True, False, False
-            non_taut = False
-            antilogy = antilogy and any(
-                k == 1 and labels[leaf] == goal
-                for _, leaf, k in _premises(entries, premise, first, size))
-    return False, antilogy, non_taut
+    return _filters(labels[-1], _vector_premises(entries, labels, entries[0], 0, n),
+                    lambda handle: _vector_premises(entries, labels, *handle))
 
 
 # Variable names for render, "a{i}" and "a{i}->", keyed by index and grown on
@@ -375,13 +398,13 @@ def render(term: Term) -> str:
 # whitespace after it, and variables are joined by '->'.  Each run is a single
 # character class, so the match keeps no backtracking state per parenthesis
 # and stays linear on long whitespace runs.
-_SHAPE = re.compile(r"[( \t\r\n]*a\d+[) \t\r\n]*(?:->[( \t\r\n]*a\d+[) \t\r\n]*)*")
+_SHAPE = re.compile(r"[( \t\r\n]*a\d+[) \t\r\n]*(?:->[( \t\r\n]*a\d+[) \t\r\n]*)*", re.ASCII)
 
 # One token per match: a variable, an arrow, or any other non-whitespace
 # character (a parenthesis, or an error).  Whitespace matches nothing, and
 # ``finditer`` skips it one character at a time; a whitespace prefix in the
 # pattern would rescan a trailing run from every position, in quadratic time.
-_TOKEN = re.compile(r"a\d+|->|[^ \t\r\n]")
+_TOKEN = re.compile(r"a\d+|->|[^ \t\r\n]", re.ASCII)
 _BAD_TOKEN = {"a": "expected digits after 'a'", "-": "expected '->'"}
 
 
@@ -389,7 +412,7 @@ def parse(text: str, *, canonical: bool = True) -> Term:
     """Parse expression text.
 
     Grammar: ``expr := term | term "->" expr``, ``term := var | "(" expr ")"``,
-    ``var := "a" digits``.  Whitespace is ignored.  With ``canonical=True``
+    ``var := "a" [0-9]+``.  Whitespace is ignored.  With ``canonical=True``
     (the default) the variable numbering must already be canonical; text with
     a foreign numbering raises ``CanonicalityError`` instead of being silently
     renumbered (renumber explicitly via ``canonical_form``).

@@ -14,8 +14,7 @@ import time
 
 import pytest
 
-from canex.classical import (antilogy_valuation, evaluate, falsify_search,
-                             is_simple_antilogy)
+from canex.classical import antilogy_valuation, evaluate, falsify_search
 from canex.counting import count_canonical, log10_count_estimate
 from canex.experiment import (DEFAULT_SEED, ExperimentConfig, run_experiment,
                               simple_rate)
@@ -24,7 +23,7 @@ from canex.reference import (chi_square, enumerate_canonical,
                              prove_intuitionistic, truth_table_tautology)
 from canex.sampling import (random_canonical, random_partition, random_tree,
                             stream_for_sample, to_growth_string)
-from canex.terms import distinct_vars
+from canex.terms import distinct_vars, term_filters
 
 CHI2_001 = {4: 18.467, 9: 27.877, 14: 36.123}
 
@@ -207,7 +206,7 @@ def _soundness_violations(term):
         out.append("cheap but unprovable")
     if provable and not taut:
         out.append("provable but falsifiable")
-    if is_simple_antilogy(term):
+    if term_filters(term)[1]:
         if taut:
             out.append("antilogy but tautology")
         if evaluate(term, antilogy_valuation(term)):

@@ -8,15 +8,15 @@ from canex import classical
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              SEARCH_BUDGET, TAUTOLOGY, UNKNOWN,
                              SearchBudgetExceeded, antilogy_valuation,
-                             evaluate, falsify_search, is_simple_antilogy,
-                             is_simple_non_tautology, tautology_status)
-from canex.intuition import clean, is_simple
+                             evaluate, falsify_search, tautology_status)
+from canex.intuition import clean
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
 from canex.sampling import (random_canonical, random_partition,
                             random_tree_vector, stream_for_sample)
 from canex.terms import (canonicalize, decode_labelled_vector, distinct_vars,
-                         leaf_count, parse, spine_filters)
+                         goal_of, leaf_count, parse, spine, spine_filters,
+                         term_filters)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
 
@@ -53,30 +53,84 @@ class TestEvaluate:
         assert evaluate(term, {0: True}) is True
 
 
+# The three spine filters as the separate term walks they were before
+# terms.term_filters defined them once: the oracle for term_filters and
+# spine_filters.
+
+def reference_is_simple(term):
+    """Goal variable occurs as one of the spine premises."""
+    goal = goal_of(term)
+    node = term
+    while isinstance(node, tuple):
+        if node[0] == goal:
+            return True
+        node = node[1]
+    return False
+
+
+def reference_is_simple_antilogy(term):
+    """Certified non-tautology: every premise survives the goal-false valuation.
+
+    With goal g, each premise must either have a goal different from g (it
+    then evaluates true when everything but g is true) or be simple with goal
+    g (its own false goal appears among its premises).  A bare variable
+    premise counts through its goal, so a premise equal to g itself defeats
+    the filter.  Setting g false and all other variables true then falsifies
+    the whole term.
+    """
+    premises, goal = spine(term)
+    for p in premises:
+        if goal_of(p) != goal:
+            continue
+        if isinstance(p, int) or not reference_is_simple(p):
+            return False
+    return True
+
+
+def reference_is_simple_non_tautology(term):
+    """The restricted antilogy class: every premise's goal differs from the goal."""
+    premises, goal = spine(term)
+    return all(goal_of(p) != goal for p in premises)
+
+
+def reference_filters(term):
+    return (reference_is_simple(term), reference_is_simple_antilogy(term),
+            reference_is_simple_non_tautology(term))
+
+
 class TestSimpleAntilogy:
     def test_premise_with_other_goal(self):
         term = parse("a1->a0")
-        assert is_simple_antilogy(term)
+        assert term_filters(term)[1]
         assert evaluate(term, {0: False, 1: True}) is False
 
     def test_bare_variable_vacuous(self):
-        assert is_simple_antilogy(parse("a0"))
+        assert term_filters(parse("a0"))[1]
 
     def test_simple_premise_with_same_goal(self):
         term = parse("(a1->a0->a0)->a0")
-        assert is_simple_antilogy(term)
+        assert term_filters(term)[1]
         assert evaluate(term, {0: False, 1: True}) is False
 
     def test_theorem_is_not_antilogy(self):
-        assert not is_simple_antilogy(parse("a1->a0->a0"))
-        assert not is_simple_antilogy(PEIRCE)
+        assert not term_filters(parse("a1->a0->a0"))[1]
+        assert not term_filters(PEIRCE)[1]
 
     def test_soundness_exhaustive(self):
         for n in range(1, 7):
             for term in enumerate_canonical(n):
-                if is_simple_antilogy(term):
+                if term_filters(term)[1]:
                     assert evaluate(term, antilogy_valuation(term)) is False
                     assert not truth_table_tautology(term)
+
+
+class TestTermFilters:
+    def test_every_canonical_term_and_its_cleaned_form(self):
+        for n in range(1, 8):
+            for term in enumerate_canonical(n):
+                cleaned = clean(term)
+                assert term_filters(term) == reference_filters(term)
+                assert term_filters(cleaned) == reference_filters(cleaned)
 
 
 def insertion_vectors(n):
@@ -86,9 +140,8 @@ def insertion_vectors(n):
 
 
 def built_filters(vector, labels):
-    """The three spine filters on the term the sampler builds from ``labels``."""
-    term = decode_labelled_vector(vector, canonicalize(labels))
-    return is_simple(term), is_simple_antilogy(term), is_simple_non_tautology(term)
+    """The reference filters on the term the sampler builds from ``labels``."""
+    return reference_filters(decode_labelled_vector(vector, canonicalize(labels)))
 
 
 class TestSpineFilters:
@@ -130,8 +183,7 @@ class TestSpineFilters:
             labels = random_partition(rng, n).labels
             term = decode_labelled_vector(vector, canonicalize(labels))
             assert term == random_canonical(stream_for_sample(2718, i), n)
-            assert spine_filters(vector, labels) == (
-                is_simple(term), is_simple_antilogy(term), is_simple_non_tautology(term))
+            assert spine_filters(vector, labels) == reference_filters(term)
 
     def test_label_count_must_fit_the_vector(self):
         with pytest.raises(ValueError):
@@ -179,7 +231,7 @@ def eager_witness(term):
     filled with True for a refutation, and None otherwise.
     """
     cleaned = clean(term)
-    if is_simple_antilogy(cleaned):
+    if reference_is_simple_antilogy(cleaned):
         return antilogy_valuation(term)
     try:
         found = falsify_search(cleaned)
@@ -234,15 +286,15 @@ class TestLazyWitness:
 
 class TestSimpleNonTautology:
     def test_examples(self):
-        assert is_simple_non_tautology(parse("a1->a0"))
-        assert not is_simple_non_tautology(parse("(a1->a0->a0)->a0"))
-        assert not is_simple_non_tautology(parse("a1->a0->a0"))
+        assert term_filters(parse("a1->a0"))[2]
+        assert not term_filters(parse("(a1->a0->a0)->a0"))[2]
+        assert not term_filters(parse("a1->a0->a0"))[2]
 
     def test_subset_of_antilogies_exhaustive(self):
         for n in range(1, 7):
             for term in enumerate_canonical(n):
-                if is_simple_non_tautology(term):
-                    assert is_simple_antilogy(term)
+                if term_filters(term)[2]:
+                    assert term_filters(term)[1]
 
 
 class TestFalsifySearch:
@@ -315,7 +367,7 @@ def sampled_search_inputs(n, count, seed=4242):
     """Cleaned samples that the antilogy filter leaves to the search."""
     cleaned = (clean(random_canonical(stream_for_sample(seed, i), n))
                for i in range(count))
-    return [c for c in cleaned if not is_simple_antilogy(c)]
+    return [c for c in cleaned if not term_filters(c)[1]]
 
 
 class TestSearchMatchesRecursiveReference:

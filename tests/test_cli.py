@@ -140,6 +140,11 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err == "error: variable index too long (position 0)\n"
 
+    def test_non_ascii_digit(self, capsys):
+        code, out, err = run_cli(["classify", "--expr", "(a\u0661->a0)->a0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: expected digits after 'a' (position 1)\n"
+
 
 class TestEnumerate:
     def test_two_leaves(self, capsys):

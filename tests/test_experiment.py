@@ -6,12 +6,13 @@ from conftest import left_chain
 
 from canex import classical, experiment, sampling
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
-                             TAUTOLOGY, evaluate, is_simple_antilogy)
+                             TAUTOLOGY, evaluate)
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
                               simple_rate)
 from canex.sampling import SplitMix64, mix64, random_canonical, stream_for_sample
-from canex.terms import canonical_form, decode_labelled_vector, parse, render
+from canex.terms import (canonical_form, decode_labelled_vector, parse, render,
+                         term_filters)
 
 RECORD_KEYS = ["simple", "mp", "easy", "minorAfterClean", "cheap", "cleanedSize",
                "status", "certificate", "gkzSimpleNonTaut"]
@@ -284,7 +285,7 @@ class TestCountPathBuildsOnlyUnsettledTerms:
 
         n, count, seed = 25, 400, 5
         run_experiment(ExperimentConfig(n=n, count=count, seed=seed))
-        settled = sum(is_simple_antilogy(random_canonical(stream_for_sample(seed, i), n))
+        settled = sum(term_filters(random_canonical(stream_for_sample(seed, i), n))[1]
                       for i in range(count))
         assert 0 < settled < count
         assert built == [n] * (count - settled)

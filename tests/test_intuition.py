@@ -6,14 +6,14 @@ from conftest import left_chain, terms_up_to_20_vars
 from hypothesis import given, strategies as st
 
 from canex import intuition
-from canex.classical import TAUTOLOGY, evaluate
+from canex.classical import CERT_ANTILOGY, TAUTOLOGY, evaluate, tautology_status
 from canex.experiment import classify
 from canex.intuition import cheap_verdict, clean, is_minor, is_mp, is_simple
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
 from canex.sampling import random_canonical, stream_for_sample
 from canex.terms import (canonical_form, distinct_vars, leaf_count, parse,
-                         render, spine)
+                         render, spine, term_filters)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
 
@@ -227,6 +227,9 @@ class TestClean:
         cleaned, expected = clean(term), reference_clean(term)
         assert render(cleaned) == render(expected)
         assert (cleaned is term) == (expected is term)
+        # Neither spine has a premise with the goal a0 as its goal.
+        assert term_filters(term) == term_filters(cleaned) == (False, True, True)
+        assert tautology_status(term, cleaned=cleaned).certificate == CERT_ANTILOGY
 
 
 class TestMinor:

@@ -38,6 +38,10 @@ SINGLE_ERRORS = [
     ("\x0ca0", "unexpected character '\\x0c'", 0),
     ("(", "dangling '->'", 1),
     ("a0)(", "unbalanced or empty parentheses", 2),
+    # Decimal digits int() reads but the grammar's ASCII 0-9 does not:
+    # Arabic-Indic one and fullwidth one.
+    ("(a\u0661->a0)->a0", "expected digits after 'a'", 1),
+    ("(a1->a\uff11)->a0", "expected digits after 'a'", 5),
 ]
 
 
@@ -269,7 +273,7 @@ def reference_render(term):
 
 
 # The token-by-token parser parse used before its shape check and fold.
-_REFERENCE_TOKEN = re.compile(r"a\d+|->|[^ \t\r\n]")
+_REFERENCE_TOKEN = re.compile(r"a\d+|->|[^ \t\r\n]", re.ASCII)
 _REFERENCE_BAD_TOKEN = {"a": "expected digits after 'a'", "-": "expected '->'"}
 
 
