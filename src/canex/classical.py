@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .intuition import clean
 from .terms import Term, distinct_vars, goal_of, term_filters
 
 TAUTOLOGY = "tautology"
@@ -132,10 +131,15 @@ class TautologyStatus:
 
     status: str
     certificate: Optional[str] = None
-    reason: Optional[str] = None
     term: Optional[Term] = field(default=None, compare=False, repr=False)
     falsifier: Optional[Mapping[int, bool]] = field(
         default=None, compare=False, repr=False)
+
+    @property
+    def reason(self) -> Optional[str]:
+        """Why the status is unknown; None for a decided one."""
+        return (f"falsifier search exhausted its budget of {SEARCH_BUDGET} choice points"
+                if self.status == UNKNOWN else None)
 
     @property
     def witness(self) -> Optional[dict[int, bool]]:
@@ -149,24 +153,22 @@ class TautologyStatus:
         return {v: self.falsifier.get(v, True) for v in distinct_vars(self.term)}
 
 
-def tautology_status(term: Term, *, cleaned: Term | None = None) -> TautologyStatus:
+def tautology_status(term: Term, cleaned: Term) -> TautologyStatus:
     """Decide whether ``term`` is a classical tautology.
 
-    Pipeline: clean, then the antilogy filter, then the falsifier search.
-    A search that exhausts its budget is reported as unknown rather than
-    guessed.
+    ``cleaned`` is ``clean(term)``, which the caller has already built for
+    the intuitionistic cascade; it decides as ``term`` does, since cleaning
+    drops only theorems.  Pipeline: the antilogy filter on ``cleaned``, then
+    the falsifier search.  A search that exhausts its budget is reported as
+    unknown rather than guessed.
     """
-    if cleaned is None:
-        cleaned = clean(term)
     if term_filters(cleaned)[1]:
         return TautologyStatus(NOT_TAUTOLOGY, CERT_ANTILOGY, term=term,
                                falsifier={goal_of(cleaned): False})
     try:
         found = falsify_search(cleaned)
     except SearchBudgetExceeded:
-        return TautologyStatus(
-            UNKNOWN, reason=f"falsifier search exhausted its budget of "
-                            f"{SEARCH_BUDGET} choice points")
+        return TautologyStatus(UNKNOWN)
     if found is None:
         return TautologyStatus(TAUTOLOGY)
     return TautologyStatus(NOT_TAUTOLOGY, CERT_VALUATION, term=term, falsifier=found)

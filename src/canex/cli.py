@@ -102,6 +102,11 @@ def _cmd_experiment(args) -> int:
     cfg = experiment.ExperimentConfig(
         n=args.n, count=args.count, seed=args.seed, workers=args.workers,
         dump_jsonl=args.dump_jsonl)
+    # Both would be opened for writing, and the dump would overwrite the CSV.
+    if (args.out_csv and args.dump_jsonl
+            and os.path.realpath(args.out_csv) == os.path.realpath(args.dump_jsonl)):
+        raise ValueError(
+            f"--out-csv and --dump-jsonl name the same file: {args.dump_jsonl}")
     _check_writable(args.out_csv, args.dump_jsonl)
     report = experiment.run_experiment(cfg)
     text = experiment.emit_report(report, out_csv=args.out_csv,

@@ -62,11 +62,13 @@ class Classification:
 
 
 def classify(term: Term) -> Classification:
+    """Both verdicts, from one ``clean`` and one read of the raw spine filters."""
     cleaned = clean(term)
+    simple, _, simple_non_taut = term_filters(term)
     return Classification(
-        verdict=cheap_verdict(term, cleaned=cleaned),
-        taut=tautology_status(term, cleaned=cleaned),
-        simple_non_taut=term_filters(term)[2],
+        verdict=cheap_verdict(term, cleaned, simple),
+        taut=tautology_status(term, cleaned),
+        simple_non_taut=simple_non_taut,
     )
 
 

@@ -62,40 +62,36 @@ def clean(term: Term) -> Term:
     """
     stack = []  # per open compound premise: its node and its spine's state
     nodes = []  # the open spines' nodes not yet joined, innermost spine last
-    lo = 0  # where the innermost spine starts in nodes
     node = term
-    while type(node) is tuple:
-        nodes.append(node)
-        node = node[1]
-    goal = done = node  # done: the cleaned tail below the next node
-    simple = wanted = False
     while True:
-        while len(nodes) > lo:
-            node = nodes.pop()
-            premise = node[0]
-            if type(premise) is tuple:  # clean it first, as a spine of its own
-                stack.append((node, lo, goal, done, simple, wanted))
-                lo = len(nodes)
-                node = premise
-                while type(node) is tuple:
-                    nodes.append(node)
-                    node = node[1]
-                goal = done = node
-                simple = wanted = False
-            else:
+        lo = len(nodes)  # where this spine starts in nodes
+        while type(node) is tuple:  # down the spine, to its goal
+            nodes.append(node)
+            node = node[1]
+        goal = done = node  # done: the cleaned tail below the next node
+        simple = wanted = False
+        while True:  # up the spine, and up each spine it completes
+            if len(nodes) > lo:
+                node = nodes.pop()
+                premise = node[0]
+                if type(premise) is tuple:  # clean it first, as a spine of its own
+                    stack.append((node, lo, goal, done, simple, wanted))
+                    node = premise
+                    break
                 simple = simple or premise == goal
                 done = node if done is node[1] else (premise, done)
-        if not stack:
-            return done
-        premise, easy = done, simple or wanted and is_mp(done)
-        node, lo, goal, done, simple, wanted = stack.pop()
-        if easy:
-            continue
-        if type(premise) is int:  # each premise it had was dropped
-            simple = simple or premise == goal
-        elif premise[1] == goal and type(premise[0]) is int:
-            wanted = True
-        done = node if premise is node[0] and done is node[1] else (premise, done)
+            elif stack:
+                premise, easy = done, simple or wanted and is_mp(done)
+                node, lo, goal, done, simple, wanted = stack.pop()
+                if easy:
+                    continue
+                if type(premise) is int:  # each premise it had was dropped
+                    simple = simple or premise == goal
+                elif premise[1] == goal and type(premise[0]) is int:
+                    wanted = True
+                done = node if premise is node[0] and done is node[1] else (premise, done)
+            else:
+                return done
 
 
 def is_minor(term: Term) -> bool:
@@ -163,11 +159,12 @@ class IntuitVerdict:
         return leaf_count(self.cleaned)
 
 
-def cheap_verdict(term: Term, cleaned: Term | None = None) -> IntuitVerdict:
-    """Full cascade: cheap means easy-or-minor after cleaning."""
-    if cleaned is None:
-        cleaned = clean(term)
-    simple = is_simple(term)
+def cheap_verdict(term: Term, cleaned: Term, simple: bool) -> IntuitVerdict:
+    """Full cascade: cheap means easy-or-minor after cleaning.
+
+    ``cleaned`` is ``clean(term)`` and ``simple`` is ``is_simple(term)``, as
+    ``experiment.classify`` reads them once for both verdicts.
+    """
     mp = is_mp(term)
     easy = simple or mp
     minor_after = is_minor(cleaned)

@@ -216,45 +216,36 @@ def decode_labelled_vector(entries: Sequence[int], labels: Sequence[int]) -> Ter
                          f"({(len(entries) + 1) // 2} leaves)")
     stack = []  # per open compound premise: its spine's start and the tail below it
     nodes = []  # the open spines' internal nodes not yet joined, innermost spine last
-    lo = 0  # where the innermost spine starts in nodes
     internal = 0
-    node = entries[0]
-    while node & 1:
-        internal += 1
-        if internal == n:
-            raise RemyVectorError("vector reaches more internal nodes than it has")
-        nodes.append(node)
-        node = entries[node + 1]
     # Each internal node reached adds one leaf, so at most internal + 1 <= n
     # labels are taken and the index never runs below 0.
-    leaf = n - 1
-    done = labels[leaf]  # the built tail below the next node
+    leaf = n
+    node = entries[0]
     while True:
-        while len(nodes) > lo:
-            node = entries[nodes.pop()]
-            if node & 1:  # a compound premise: build it first
-                stack.append((lo, done))
-                lo = len(nodes)
-                while node & 1:
-                    internal += 1
-                    if internal == n:
-                        raise RemyVectorError(
-                            "vector reaches more internal nodes than it has")
-                    nodes.append(node)
-                    node = entries[node + 1]
-                leaf -= 1
-                done = labels[leaf]
-            else:
+        lo = len(nodes)  # where this spine starts in nodes
+        while node & 1:  # down the spine, to its goal
+            internal += 1
+            if internal == n:
+                raise RemyVectorError("vector reaches more internal nodes than it has")
+            nodes.append(node)
+            node = entries[node + 1]
+        leaf -= 1
+        done = labels[leaf]  # the built tail below the next node
+        while True:  # up the spine, and up each spine it completes
+            if len(nodes) > lo:
+                node = entries[nodes.pop()]
+                if node & 1:  # a compound premise: build it first
+                    stack.append((lo, done))
+                    break
                 leaf -= 1
                 done = (labels[leaf], done)
-        if not stack:
-            break
-        premise = done
-        lo, done = stack.pop()
-        done = (premise, done)
-    if internal != n - 1:
-        raise RemyVectorError("vector does not reach every internal node")
-    return done
+            elif stack:
+                lo, tail = stack.pop()
+                done = (done, tail)
+            else:
+                if internal != n - 1:
+                    raise RemyVectorError("vector does not reach every internal node")
+                return done
 
 
 def _leaves_under(entries: Sequence[int], node: int, other: int, total: int) -> int:

@@ -18,7 +18,7 @@ from canex.classical import antilogy_valuation, evaluate, falsify_search
 from canex.counting import count_canonical, log10_count_estimate
 from canex.experiment import (DEFAULT_SEED, ExperimentConfig, run_experiment,
                               simple_rate)
-from canex.intuition import cheap_verdict
+from canex.intuition import cheap_verdict, clean, is_simple
 from canex.reference import (chi_square, enumerate_canonical,
                              prove_intuitionistic, truth_table_tautology)
 from canex.sampling import (random_canonical, random_partition, random_tree,
@@ -188,7 +188,7 @@ def test_criterion_5_ratio_trend():
 # -- 6. classifier soundness ----------------------------------------------------
 
 def _soundness_violations(term):
-    verdict = cheap_verdict(term)
+    verdict = cheap_verdict(term, clean(term), is_simple(term))
     provable = prove_intuitionistic(term)
     cleaned_provable = prove_intuitionistic(verdict.cleaned)
     if len(distinct_vars(term)) <= 20:

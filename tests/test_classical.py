@@ -21,6 +21,11 @@ from canex.terms import (canonicalize, decode_labelled_vector, distinct_vars,
 PEIRCE = parse("((a0->a1)->a0)->a0")
 
 
+def status_of(term):
+    """``tautology_status`` given the cleaned term ``classify`` hands it."""
+    return tautology_status(term, clean(term))
+
+
 def all_valuations(term):
     variables = sorted(distinct_vars(term))
     for bits in itertools.product((False, True), repeat=len(variables)):
@@ -213,7 +218,7 @@ class TestAntilogyWitness:
         antilogies = 0
         for i in range(300):
             term = random_canonical(stream_for_sample(12358, i), n)
-            status = tautology_status(term)
+            status = status_of(term)
             if status.certificate != CERT_ANTILOGY:
                 continue
             antilogies += 1
@@ -252,7 +257,7 @@ class TestLazyWitness:
             return distinct_vars(t)
 
         monkeypatch.setattr(classical, "distinct_vars", counting_distinct_vars)
-        status = tautology_status(term)
+        status = status_of(term)
         assert status.certificate == CERT_ANTILOGY
         assert calls == []
         witness = status.witness
@@ -262,23 +267,23 @@ class TestLazyWitness:
     def test_deep_status_compares_and_prints(self):
         # Two equal chains that are distinct objects: tuple equality on them
         # would raise RecursionError, so the status must not compare terms.
-        status = tautology_status(left_chain(3000))
+        status = status_of(left_chain(3000))
         assert status.certificate == CERT_ANTILOGY
-        assert status == status == tautology_status(left_chain(3000))
+        assert status == status == status_of(left_chain(3000))
         assert "antilogy" in repr(status)
         hash(status)
 
     def test_matches_eager_builder_exhaustive(self):
         for n in range(1, 7):
             for term in enumerate_canonical(n):
-                assert tautology_status(term).witness == eager_witness(term)
+                assert status_of(term).witness == eager_witness(term)
 
     @pytest.mark.parametrize("n,count", [(25, 600), (100, 400), (1000, 60)])
     def test_matches_eager_builder_sampled(self, n, count):
         refuted = 0
         for i in range(count):
             term = random_canonical(stream_for_sample(4242, i), n)
-            status = tautology_status(term)
+            status = status_of(term)
             refuted += status.certificate == CERT_VALUATION
             assert status.witness == eager_witness(term)
         assert n == 1000 or refuted > 0
@@ -403,11 +408,11 @@ class TestSearchMatchesRecursiveReference:
 
 class TestTautologyStatus:
     def test_peirce(self):
-        status = tautology_status(PEIRCE)
+        status = status_of(PEIRCE)
         assert status.status == TAUTOLOGY
 
     def test_antilogy_certificate(self):
-        status = tautology_status(parse("a1->a0"))
+        status = status_of(parse("a1->a0"))
         assert status.status == NOT_TAUTOLOGY
         assert status.certificate == CERT_ANTILOGY
         assert evaluate(parse("a1->a0"), status.witness) is False
@@ -415,7 +420,7 @@ class TestTautologyStatus:
     def test_brute_forced_example(self):
         term = parse("(a0->a1)->(a1->a0)->a0")
         oracle = truth_table_tautology(term)
-        status = tautology_status(term)
+        status = status_of(term)
         assert (status.status == TAUTOLOGY) == oracle
         if status.status == NOT_TAUTOLOGY:
             assert evaluate(term, status.witness) is False
@@ -423,7 +428,7 @@ class TestTautologyStatus:
     def test_pipeline_matches_oracle_exhaustive(self):
         for n in range(1, 7):
             for term in enumerate_canonical(n):
-                status = tautology_status(term)
+                status = status_of(term)
                 assert status.status != UNKNOWN
                 assert (status.status == TAUTOLOGY) == truth_table_tautology(term)
                 if status.status == NOT_TAUTOLOGY:
@@ -436,7 +441,7 @@ class TestTautologyStatus:
         term = parse("((a0->a0)->a1->a0)->a0", canonical=False)
         cleaned = clean(term)
         assert cleaned == parse("(a1->a0)->a0")
-        status = tautology_status(term)
+        status = status_of(term)
         assert status.status == NOT_TAUTOLOGY
         assert status.certificate == CERT_VALUATION
         assert evaluate(term, status.witness) is False
@@ -445,7 +450,7 @@ class TestTautologyStatus:
         for n in range(1, 7):
             for term in enumerate_canonical(n):
                 if prove_intuitionistic(term):
-                    assert tautology_status(term).status == TAUTOLOGY
+                    assert status_of(term).status == TAUTOLOGY
 
 
 def pigeonhole(pigeons, holes):
@@ -482,25 +487,25 @@ class TestCompleteSearch:
     def test_wide_tautology(self, text):
         term = parse(text)
         assert len(distinct_vars(term)) == 34
-        assert tautology_status(term).status == TAUTOLOGY
+        assert status_of(term).status == TAUTOLOGY
 
     def test_wide_non_tautology_witness(self):
         chain = "->".join(f"a{i}" for i in range(39, 1, -1))
         term = parse(f"(a1->a0)->{chain}->a0", canonical=False)
         assert len(distinct_vars(term)) == 40
-        status = tautology_status(term)
+        status = status_of(term)
         assert status.status == NOT_TAUTOLOGY
         assert status.certificate == CERT_VALUATION
         assert evaluate(term, status.witness) is False
 
     def test_pigeonhole_within_budget(self):
-        assert tautology_status(pigeonhole(4, 3)).status == TAUTOLOGY
+        assert status_of(pigeonhole(4, 3)).status == TAUTOLOGY
 
     def test_pigeonhole_exhausts_budget(self):
         term = pigeonhole(5, 4)
         assert len(distinct_vars(term)) == 21
         assert leaf_count(term) == 156
-        status = tautology_status(term)
+        status = status_of(term)
         assert status.status == UNKNOWN
         assert str(SEARCH_BUDGET) in status.reason
         assert "budget" in status.reason
@@ -513,7 +518,7 @@ def test_search_agrees_with_truth_table(term):
     assert (found is None) == oracle
     if found is not None:
         assert evaluate(term, {v: found.get(v, True) for v in distinct_vars(term)}) is False
-    status = tautology_status(term)
+    status = status_of(term)
     assert status.status != UNKNOWN
     assert (status.status == TAUTOLOGY) == oracle
     if status.status == NOT_TAUTOLOGY:

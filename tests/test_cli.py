@@ -206,6 +206,25 @@ class TestExperiment:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {path}: No such file or directory\n"
 
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_same_path_for_csv_and_dump_rejected(self, capsys, monkeypatch, tmp_path,
+                                                 existed):
+        def no_run(cfg):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr(experiment, "run_experiment", no_run)
+        path = tmp_path / "out"
+        if existed:
+            path.write_text("kept\n")
+        same = f"{tmp_path}/./out"
+        code, out, err = run_cli(
+            ["experiment", "--n", "5", "--count", "10", "--out-csv", str(path),
+             "--dump-jsonl", same], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --out-csv and --dump-jsonl name the same file: {same}\n"
+        assert list(tmp_path.iterdir()) == ([path] if existed else [])
+        assert not existed or path.read_text() == "kept\n"
+
     def test_rejected_run_leaves_no_empty_file(self, capsys, tmp_path):
         out_csv = tmp_path / "row.csv"
         dump = tmp_path / "missing" / "dump.jsonl"

@@ -4,12 +4,13 @@ import os
 import pytest
 from conftest import left_chain
 
-from canex import classical, experiment, sampling
+from canex import classical, experiment, intuition, sampling
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              TAUTOLOGY, evaluate)
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
                               simple_rate)
+from canex.intuition import clean
 from canex.sampling import SplitMix64, mix64, random_canonical, stream_for_sample
 from canex.terms import (canonical_form, decode_labelled_vector, parse, render,
                          term_filters)
@@ -48,6 +49,32 @@ class TestClassify:
         assert record["status"] == "unknown"
         assert list(record) == RECORD_KEYS[:-1] + ["reason", "gkzSimpleNonTaut"]
         assert record["reason"].startswith("falsifier search exhausted")
+
+    @pytest.mark.parametrize("text", [
+        "((a0->a0)->a1)->a1",  # cleaned to a simple term: cheap
+        "((a0->a0)->a1->a0)->a0",  # cleaned, then refuted by the search
+        "((a0->a1)->a0)->a0",  # nothing dropped: the cleaned term is the term
+    ])
+    def test_each_fact_read_once(self, monkeypatch, text):
+        term = parse(text, canonical=False)
+        cleans, filters = [], []
+
+        def counting_clean(t):
+            cleans.append(t)
+            return clean(t)
+
+        def counting_filters(t):
+            filters.append(t)
+            return term_filters(t)
+
+        for module in (experiment, intuition, classical):
+            if hasattr(module, "clean"):
+                monkeypatch.setattr(module, "clean", counting_clean)
+            if hasattr(module, "term_filters"):
+                monkeypatch.setattr(module, "term_filters", counting_filters)
+        cleaned = classify(term).verdict.cleaned
+        assert len(cleans) == 1 and cleans[0] is term
+        assert sorted(map(id, filters)) == sorted([id(term), id(cleaned)])
 
 
 class TestDeepInput:

@@ -23,6 +23,11 @@ MP_CLEANED_TEXT = ("a28->(a22->(a26->(a14->a2)->(a11->a8))->a28)"
                    "->(a28->a9->a13)->a14->(a28->a0)->a0")
 
 
+def verdict_of(term):
+    """``cheap_verdict`` given what ``classify`` reads once and hands it."""
+    return cheap_verdict(term, clean(term), is_simple(term))
+
+
 # References: the spine()-based patterns and the hashing is_minor that the
 # in-place walks replaced.  The tests below check that they agree.
 
@@ -229,7 +234,7 @@ class TestClean:
         assert (cleaned is term) == (expected is term)
         # Neither spine has a premise with the goal a0 as its goal.
         assert term_filters(term) == term_filters(cleaned) == (False, True, True)
-        assert tautology_status(term, cleaned=cleaned).certificate == CERT_ANTILOGY
+        assert tautology_status(term, cleaned).certificate == CERT_ANTILOGY
 
 
 class TestMinor:
@@ -261,7 +266,7 @@ class TestMinor:
         premise, tail = left_chain(2000, start=1), left_chain(2000, start=2)
         term = parse(render(canonical_form(((premise, 0), (tail, 0)))))
         assert not is_minor(term)
-        assert not cheap_verdict(term).minor_after_clean
+        assert not verdict_of(term).minor_after_clean
 
     def test_linear_in_the_spine(self):
         # 10^5 premises a1 -> a0 before a0: each is compared with one tail.
@@ -270,7 +275,7 @@ class TestMinor:
             term = ((1, 0), term)
         started = time.perf_counter()
         assert not is_minor(term)
-        assert not cheap_verdict(term).cheap
+        assert not verdict_of(term).cheap
         assert time.perf_counter() - started < 5.0
 
 
@@ -292,7 +297,7 @@ class TestMatchesReferences:
 class TestCheap:
     def test_cleaned_to_simple(self):
         term = parse("((a0->a0)->a1)->a1", canonical=False)
-        verdict = cheap_verdict(term)
+        verdict = verdict_of(term)
         assert verdict.cheap
         assert verdict.cleaned == parse("a1->a1", canonical=False)
         assert verdict.cleaned_size == 2
@@ -306,25 +311,25 @@ class TestCheap:
             return leaf_count(term)
 
         monkeypatch.setattr(intuition, "leaf_count", counting_leaf_count)
-        verdict = cheap_verdict(parse("((a0->a0)->a1)->a1", canonical=False))
+        verdict = verdict_of(parse("((a0->a0)->a1)->a1", canonical=False))
         assert calls == []
         assert verdict.cleaned_size == 2
         assert len(calls) == 1
 
     def test_peirce_not_cheap(self):
-        verdict = cheap_verdict(PEIRCE)
+        verdict = verdict_of(PEIRCE)
         assert not verdict.cheap
         assert verdict.cleaned == PEIRCE
         assert not prove_intuitionistic(PEIRCE)
 
     def test_simple_is_cheap(self):
-        verdict = cheap_verdict(parse("a1->a0->a0"))
+        verdict = verdict_of(parse("a1->a0->a0"))
         assert verdict.cheap and verdict.simple
 
     def test_cascade_monotone_exhaustive(self):
         for n in range(1, 7):
             for term in enumerate_canonical(n):
-                verdict = cheap_verdict(term)
+                verdict = verdict_of(term)
                 assert verdict.easy == (verdict.simple or verdict.mp)
                 if verdict.simple:
                     assert verdict.easy
@@ -347,7 +352,7 @@ def test_clean_preserves_truth(term, bits):
 def test_clean_preserves_provability_and_cheap_is_provable(term):
     provable = prove_intuitionistic(term)
     assert prove_intuitionistic(clean(term)) == provable
-    if cheap_verdict(term).cheap:
+    if verdict_of(term).cheap:
         assert provable
 
 
