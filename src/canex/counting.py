@@ -80,11 +80,12 @@ def log10_count_estimate(n: int) -> float:
 
 
 _TAIL_EPSILON = 1e-12
+# Every Decimal operation goes through this context, never the caller's.
+# Its exponent range holds m^n and m! at any n a table is built for.
+_DECIMAL = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 # The weights stop once one is this far below the largest: each one left
 # out is under e^-80 of the sum, far below a float's precision.
-_WEIGHT_CUT = 80
-# Every Decimal operation goes through this context, never the caller's.
-_DECIMAL = decimal.Context(prec=40)
+_WEIGHT_CUT = _DECIMAL.exp(-80)
 
 
 @lru_cache(maxsize=None)
@@ -95,29 +96,28 @@ def stam_table(n: int) -> tuple[float, ...]:
     ``m^n / (e * m! * bell(n))`` that a uniform set partition has exactly
     ``m`` classes (Stam's urn); the table ends once it reaches
     ``1 - 1e-12``.  By Dobinski's formula ``e * bell(n)`` is the sum of the
-    weights ``m^n / m!``, so no Bell number is needed: the weights are
-    summed as logarithms in 40-digit decimals, and each probability is
-    rounded to a float exactly as ``m^n / (m! * bell(n))`` rounds, then
-    divided by ``math.e``.
+    weights ``m^n / m!``, so no Bell number is needed: each weight is an
+    integer power over a running factorial in 40-digit decimals, and each
+    probability is rounded to a float exactly as ``m^n / (m! * bell(n))``
+    rounds, then divided by ``math.e``.
     """
     if n < 1:
         raise ValueError("partition tables need n >= 1")
     ctx = _DECIMAL
-    log_fact = top = decimal.Decimal(0)
-    log_weights = [top]  # ln(m^n / m!) for m = 1, 2, ...
-    # The log weights rise to one peak and then fall; comparisons are exact.
-    while log_weights[-1] >= ctx.subtract(top, _WEIGHT_CUT):
-        log_m = ctx.ln(len(log_weights) + 1)
-        log_fact = ctx.add(log_fact, log_m)
-        log_weights.append(ctx.subtract(ctx.multiply(n, log_m), log_fact))
-        top = ctx.max(top, log_weights[-1])
-    scaled = [ctx.exp(ctx.subtract(w, top)) for w in log_weights]
-    total_scaled = reduce(ctx.add, scaled)
+    fact = top = decimal.Decimal(1)
+    weights = [top]  # m^n / m! for m = 1, 2, ...
+    # The weights rise to one peak and then fall; comparisons are exact.
+    while weights[-1] >= ctx.multiply(top, _WEIGHT_CUT):
+        m = len(weights) + 1
+        fact = ctx.multiply(fact, m)
+        weights.append(ctx.divide(ctx.power(m, n), fact))
+        top = ctx.max(top, weights[-1])
+    total_weight = reduce(ctx.add, weights)
     e = ctx.exp(1)
     cumulative: list[float] = []
     total = 0.0
-    for x in scaled:
-        total += float(ctx.divide(ctx.multiply(e, x), total_scaled)) / math.e
+    for w in weights:
+        total += float(ctx.divide(ctx.multiply(e, w), total_weight)) / math.e
         cumulative.append(total)
         if total >= 1.0 - _TAIL_EPSILON:
             return tuple(cumulative)

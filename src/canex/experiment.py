@@ -21,6 +21,7 @@ from typing import Optional
 from . import sampling
 from .classical import TAUTOLOGY, UNKNOWN, CERT_ANTILOGY, \
     TautologyStatus, tautology_status
+from .counting import stam_table
 from .intuition import IntuitVerdict, cheap_verdict, clean
 from .sampling import stream_for_sample
 from .terms import Term, decode_labelled_vector, render, spine_filters, term_filters
@@ -219,6 +220,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     and no ``clean``; the counts are those of the full classification.
     """
     started = time.perf_counter()
+    stam_table(cfg.n)  # built here, so that forked workers inherit it
     dump = cfg.dump_jsonl is not None
     chunks = _chunks(cfg.n, cfg.seed, cfg.count, cfg.workers, dump)
     results = _map_chunks(_classify_chunk, chunks, cfg.workers)
@@ -260,6 +262,8 @@ def _simple_rates(sizes: list[int], count: int, seed: int,
         raise ValueError("count must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    for n in sizes:
+        stam_table(n)  # built here, so that forked workers inherit it
     per_size = [_chunks(n, seed, count, workers) for n in sizes]
     hits = iter(_map_chunks(_simple_rate_chunk,
                             [c for chunks in per_size for c in chunks], workers))

@@ -1,6 +1,7 @@
 import decimal
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -163,6 +164,35 @@ def exact_stam_table(n):
     return tuple(cumulative)
 
 
+def log_domain_stam_table(n):
+    """The class-count table from 40-digit logarithms of the weights m^n / m!.
+
+    The package's earlier builder, kept as the reference at sizes where
+    ``exact_stam_table`` is too slow: every weight is summed as a logarithm,
+    then scaled by the largest before ``exp``.
+    """
+    ctx = decimal.Context(prec=40)
+    log_fact = top = decimal.Decimal(0)
+    log_weights = [top]  # ln(m^n / m!) for m = 1, 2, ...
+    # The log weights rise to one peak and then fall; comparisons are exact.
+    while log_weights[-1] >= ctx.subtract(top, 80):
+        log_m = ctx.ln(len(log_weights) + 1)
+        log_fact = ctx.add(log_fact, log_m)
+        log_weights.append(ctx.subtract(ctx.multiply(n, log_m), log_fact))
+        top = ctx.max(top, log_weights[-1])
+    scaled = [ctx.exp(ctx.subtract(w, top)) for w in log_weights]
+    total_scaled = reduce(ctx.add, scaled)
+    e = ctx.exp(1)
+    cumulative = []
+    total = 0.0
+    for x in scaled:
+        total += float(ctx.divide(ctx.multiply(e, x), total_scaled)) / math.e
+        cumulative.append(total)
+        if total >= 1.0 - 1e-12:
+            return tuple(cumulative)
+    raise RuntimeError(f"class-count table for n={n} failed to converge")
+
+
 class _ScriptedUnit(SplitMix64):
     """Returns ``u`` from every ``random()`` call."""
 
@@ -202,6 +232,23 @@ class TestStamTable:
             table = stam_table(n)
             assert all(b >= a for a, b in zip(table, table[1:]))
             assert 1 - 1e-12 <= table[-1] <= 1 + 1e-12
+
+    @pytest.mark.parametrize("n", [3000, 10 ** 4, 10 ** 5])
+    def test_equals_log_domain_table(self, n):
+        assert stam_table(n) == log_domain_stam_table(n)
+
+    def test_weights_past_the_default_exponent_range(self):
+        # At this size m^n passes 10^999999, the default context's Emax; the
+        # table is built in its own context, whatever the caller's.
+        stam_table.cache_clear()
+        table = stam_table(300000)
+        assert all(b >= a for a, b in zip(table, table[1:]))
+        assert 1 - 1e-12 <= table[-1] <= 1 + 1e-12
+        stam_table.cache_clear()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 6
+            ctx.Emax = 999
+            assert stam_table(300000) == table
 
     def test_large_n(self):
         # Far beyond any exact Bell number the table is still built.

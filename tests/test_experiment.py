@@ -7,6 +7,7 @@ from conftest import left_chain
 from canex import classical, experiment, intuition, sampling
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              TAUTOLOGY, evaluate)
+from canex.counting import stam_table
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
                               classify, emit_report, rn_table, run_experiment,
                               simple_rate)
@@ -264,26 +265,33 @@ class TestSimpleRateAndTable:
             assert float(row.split(",")[4]) == simple_rate(n, 120, 6)
 
 
+def stand_in_pool(monkeypatch, on_open):
+    """Replace the runner's pool with one that maps in this process.
+
+    It starts no process: a real pool with a large worker count would, under
+    fork, start them all at the first submit.  ``on_open(max_workers)`` is
+    called as it opens.
+    """
+    class StandInPool:
+        def __init__(self, max_workers=None):
+            on_open(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", StandInPool)
+
+
 class TestPoolSize:
     def test_pool_capped_at_chunks_and_cpus(self, monkeypatch):
-        # A stand-in pool that starts no process: a real one with a large
-        # worker count would, under fork, start them all at the first submit.
         sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers=None):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        stand_in_pool(monkeypatch, sizes.append)
         report = run_experiment(ExperimentConfig(n=6, count=3, seed=2, workers=10 ** 6))
         assert report.csv_row() == run_experiment(
             ExperimentConfig(n=6, count=3, seed=2)).csv_row()
@@ -292,6 +300,17 @@ class TestPoolSize:
         # 3 chunks of one sample each, then 2 sizes of 2 chunks.
         cpus = os.cpu_count() or 1
         assert sizes == [min(3, cpus), min(4, cpus)]
+
+    def test_tables_built_before_the_pool_opens(self, monkeypatch):
+        # Forked workers inherit the parent's tables; built after the fork,
+        # each worker would build its own.
+        cached = []
+        stand_in_pool(monkeypatch, lambda _: cached.append(stam_table.cache_info().currsize))
+        stam_table.cache_clear()
+        run_experiment(ExperimentConfig(n=37, count=8, workers=2))
+        stam_table.cache_clear()
+        rn_table([11, 13], count=8, workers=2)
+        assert cached == [1, 2]
 
 
 class TestCountPathBuildsOnlyUnsettledTerms:
