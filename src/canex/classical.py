@@ -1,4 +1,4 @@
-"""Classical tautology decisions: valuations, falsifier search, status pipeline.
+"""Classical tautology decisions: the falsifier search and the status pipeline.
 
 The implication semantics is ``val(e -> e') = val(e') or not val(e)``, which
 flattens along a spine: ``val(p1 -> ... -> pk -> g)`` is true exactly when the
@@ -33,34 +33,6 @@ SEARCH_BUDGET = 1 << 20
 
 class SearchBudgetExceeded(Exception):
     """falsify_search used up SEARCH_BUDGET choice points without deciding."""
-
-
-def evaluate(term: Term, valuation: Mapping[int, bool]) -> bool:
-    """Boolean value of ``term`` under a total assignment.
-
-    A post-order walk with its own stack, so depth is bounded only by memory.
-    """
-    done: list[bool] = []
-    work = [term]
-    while work:
-        node = work.pop()
-        if node is None:  # both children are evaluated: join them
-            right = done.pop()
-            done[-1] = right or not done[-1]
-        elif isinstance(node, int):
-            try:
-                done.append(bool(valuation[node]))
-            except KeyError:
-                raise ValueError(f"valuation is missing variable a{node}") from None
-        else:
-            work += (None, node[1], node[0])
-    return done[0]
-
-
-def antilogy_valuation(term: Term) -> dict[int, bool]:
-    """Goal false, every other variable true."""
-    goal = goal_of(term)
-    return {v: v != goal for v in distinct_vars(term)}
 
 
 def falsify_search(term: Term) -> Optional[dict[int, bool]]:

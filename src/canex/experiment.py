@@ -109,7 +109,7 @@ class ExperimentReport:
     n_antilogy: int = 0
     n_unknown: int = 0
     elapsed_seconds: float = 0.0
-    records: list = field(default_factory=list, repr=False)
+    records: Optional[list] = field(default=None, repr=False)  # None: run without a dump
 
     @property
     def ratio_cheap_over_taut(self) -> float:
@@ -227,13 +227,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     total = sum((counts for counts, _ in results), Counter())
     return ExperimentReport(
         n=cfg.n, count=cfg.count, seed=cfg.seed, **total,
-        records=[record for _, records in results for record in records],
+        records=[record for _, records in results for record in records] if dump else None,
         elapsed_seconds=time.perf_counter() - started)
 
 
 def emit_report(report: ExperimentReport, out_csv: Optional[str] = None,
                 dump_jsonl: Optional[str] = None, timing: bool = False) -> str:
     """Write the one-row CSV (and per-sample JSONL when asked); returns the CSV text."""
+    if dump_jsonl and report.records is None:
+        raise ValueError("the report holds no per-sample records; run it with dump_jsonl")
     text = CSV_COLUMNS + "\n" + report.csv_row(timing=timing) + "\n"
     if out_csv:
         with open(out_csv, "w", encoding="utf-8") as fh:
@@ -268,12 +270,6 @@ def _simple_rates(sizes: list[int], count: int, seed: int,
     hits = iter(_map_chunks(_simple_rate_chunk,
                             [c for chunks in per_size for c in chunks], workers))
     return [sum(next(hits) for _ in chunks) / count for chunks in per_size]
-
-
-def simple_rate(n: int, count: int, seed: int = DEFAULT_SEED,
-                workers: int = 1) -> float:
-    """Fraction of samples that are simple; same streams as run_experiment."""
-    return _simple_rates([n], count, seed, workers)[0]
 
 
 def rn_table(sizes: list[int], count: int, seed: int = DEFAULT_SEED,

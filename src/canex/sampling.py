@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .counting import stam_table
-from .terms import Shape, Term, canonicalize, decode_labelled_vector
+from .terms import Term, canonicalize, decode_labelled_vector
 # Not called here; perfbench's tracer times these three as sampling's names,
 # so they stay importable from this module.
 from .terms import attach_vars, decode_remy_vector, shape_of  # noqa: F401
@@ -89,16 +89,6 @@ class SplitMix64:
         word is at position ``position() + 1``.
         """
         return self._state * _GAMMA_INVERSE & _MASK64
-
-    def peek(self, j: int) -> int:
-        """Word ``j`` (from 0) of the next ``take``, without advancing the stream."""
-        return mix64(self._state + (j + 1) * _GAMMA)
-
-    def detach(self, k: int) -> SplitMix64:
-        """A stream at this one's state; this one skips the k words it holds."""
-        ahead = SplitMix64(self._state)
-        self._state = (self._state + k * _GAMMA) & _MASK64
-        return ahead
 
     def take(self, k: int) -> list[int]:
         """The next k words, as k ``next_u64()`` calls would return them.
@@ -174,11 +164,6 @@ def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
     return v
 
 
-def random_tree(rng: SplitMix64, n: int) -> Shape:
-    """Uniform over the catalan(n-1) shapes with n leaves; linear time."""
-    return decode_labelled_vector(random_tree_vector(rng, n), [None] * n)
-
-
 class ClassDescription(NamedTuple):
     """Elementwise class labels drawn in [0, num_classes); possibly with gaps.
 
@@ -224,14 +209,14 @@ def _any_in_window(positions: array, first: int, k: int) -> bool:
 class LabelReader:
     """The labels of a label draw that rejects no word, each computed when read.
 
-    Label j is word j of ``words`` mod m, one ``mix64`` per read.  Iterating
-    computes all n labels from the same words, in one ``take``.
+    Label j is ``mix64(state + (j + 1) * gamma) % m``, for ``state`` the stream's
+    state before the labels; iterating computes all n in one ``take`` from it.
     """
 
-    __slots__ = ("_words", "_n", "_m")
+    __slots__ = ("_state", "_n", "_m")
 
-    def __init__(self, words: SplitMix64, n: int, m: int):
-        self._words, self._n, self._m = words, n, m
+    def __init__(self, state: int, n: int, m: int):
+        self._state, self._n, self._m = state, n, m
 
     def __len__(self) -> int:
         return self._n
@@ -241,12 +226,11 @@ class LabelReader:
             j += self._n
         if not 0 <= j < self._n:
             raise IndexError("label index out of range")
-        return self._words.peek(j) % self._m
+        return mix64(self._state + (j + 1) * _GAMMA) % self._m
 
     def __iter__(self):
-        # Take from a copy of the stream, so later reads still start at label 0.
         m = self._m
-        return iter([z % m for z in self._words.detach(0).take(self._n)])
+        return iter([z % m for z in SplitMix64(self._state).take(self._n)])
 
 
 def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
@@ -256,15 +240,17 @@ def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
     table's length), then an independent label in [0, m) for each element,
     by the rejection rule in README's determinism contract.  One ``bisect``
     over the positions m rejects tells whether any of the n label words is
-    rejected.  If none is, the labels are a ``LabelReader``, computed as they
-    are read; else they are drawn in full.  Either way the stream is left
-    past the labels' last word.
+    rejected.  If none is, the labels are a ``LabelReader`` over the stream's
+    state, computed as they are read, and the stream skips their n words;
+    else they are drawn in full.  Either way the stream ends past them.
     """
     table = stam_table(n)
     m = min(bisect_right(table, rng.random()) + 1, len(table))
     if _any_in_window(_rejected_positions(m), (rng.position() + 1) & _MASK64, n):
         return ClassDescription(_draw_labels(rng, n, m), m)
-    return ClassDescription(LabelReader(rng.detach(n), n, m), m)
+    state = rng._state
+    rng._state = (state + n * _GAMMA) & _MASK64
+    return ClassDescription(LabelReader(state, n, m), m)
 
 
 def to_growth_string(description: ClassDescription) -> tuple[int, ...]:

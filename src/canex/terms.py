@@ -37,16 +37,6 @@ class RemyVectorError(ValueError):
     """An integer vector does not encode a binary tree."""
 
 
-def spine(term: Term) -> tuple[tuple, int]:
-    """``p1 -> p2 -> ... -> pk -> g`` split into ``(premises, goal)``."""
-    premises = []
-    node = term
-    while isinstance(node, tuple):
-        premises.append(node[0])
-        node = node[1]
-    return tuple(premises), node
-
-
 def goal_of(term: Term) -> int:
     """Variable index of the rightmost leaf."""
     node = term

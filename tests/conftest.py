@@ -1,12 +1,17 @@
 """Hypothesis runs the same examples on every run of the suite.
 
-Strategies shared by several test modules live here too; import them with
-``from conftest import ...``.
+Strategies and oracles shared by several test modules live here too; import
+them with ``from conftest import ...``.  The oracles are functions no ``canex``
+command runs, kept here as the tests' own reference.
 """
+
+from typing import Mapping
 
 from hypothesis import settings, strategies as st
 
-from canex.sampling import SplitMix64
+from canex import experiment
+from canex.sampling import SplitMix64, random_tree_vector
+from canex.terms import Shape, Term, decode_labelled_vector, distinct_vars, goal_of
 
 settings.register_profile("deterministic", derandomize=True, max_examples=200,
                           deadline=None)
@@ -53,3 +58,52 @@ class ScriptedDraws(SplitMix64):
 
     def next_u64(self):
         raise AssertionError("a scripted draw was out of range")
+
+
+def random_tree(rng: SplitMix64, n: int) -> Shape:
+    """Uniform over the catalan(n-1) shapes with n leaves; linear time."""
+    return decode_labelled_vector(random_tree_vector(rng, n), [None] * n)
+
+
+def spine(term: Term) -> tuple[tuple, int]:
+    """``p1 -> p2 -> ... -> pk -> g`` split into ``(premises, goal)``."""
+    premises = []
+    node = term
+    while isinstance(node, tuple):
+        premises.append(node[0])
+        node = node[1]
+    return tuple(premises), node
+
+
+def evaluate(term: Term, valuation: Mapping[int, bool]) -> bool:
+    """Boolean value of ``term`` under a total assignment.
+
+    A post-order walk with its own stack, so depth is bounded only by memory.
+    """
+    done: list[bool] = []
+    work = [term]
+    while work:
+        node = work.pop()
+        if node is None:  # both children are evaluated: join them
+            right = done.pop()
+            done[-1] = right or not done[-1]
+        elif isinstance(node, int):
+            try:
+                done.append(bool(valuation[node]))
+            except KeyError:
+                raise ValueError(f"valuation is missing variable a{node}") from None
+        else:
+            work += (None, node[1], node[0])
+    return done[0]
+
+
+def antilogy_valuation(term: Term) -> dict[int, bool]:
+    """Goal false, every other variable true."""
+    goal = goal_of(term)
+    return {v: v != goal for v in distinct_vars(term)}
+
+
+def simple_rate(n: int, count: int, seed: int = experiment.DEFAULT_SEED,
+                workers: int = 1) -> float:
+    """Fraction of samples that are simple; same streams as run_experiment."""
+    return experiment._simple_rates([n], count, seed, workers)[0]

@@ -13,16 +13,16 @@ import sys
 import time
 
 import pytest
+from conftest import antilogy_valuation, evaluate, random_tree, simple_rate
 
-from canex.classical import antilogy_valuation, evaluate, falsify_search
+from canex.classical import falsify_search
 from canex.counting import count_canonical, log10_count_estimate
-from canex.experiment import (DEFAULT_SEED, ExperimentConfig, run_experiment,
-                              simple_rate)
+from canex.experiment import DEFAULT_SEED, ExperimentConfig, run_experiment
 from canex.intuition import cheap_verdict, clean, is_simple
 from canex.reference import (chi_square, enumerate_canonical,
                              prove_intuitionistic, truth_table_tautology)
-from canex.sampling import (random_canonical, random_partition, random_tree,
-                            stream_for_sample, to_growth_string)
+from canex.sampling import (random_canonical, random_partition, stream_for_sample,
+                            to_growth_string)
 from canex.terms import distinct_vars, term_filters
 
 CHI2_001 = {4: 18.467, 9: 27.877, 14: 36.123}

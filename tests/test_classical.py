@@ -1,21 +1,22 @@
 import itertools
 
 import pytest
-from conftest import ScriptedDraws, left_chain, terms_up_to_20_vars
+from conftest import (ScriptedDraws, antilogy_valuation, evaluate, left_chain, spine,
+                      terms_up_to_20_vars)
 from hypothesis import given, strategies as st
 
 from canex import classical
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              SEARCH_BUDGET, TAUTOLOGY, UNKNOWN,
-                             SearchBudgetExceeded, antilogy_valuation,
-                             evaluate, falsify_search, tautology_status)
+                             SearchBudgetExceeded, falsify_search,
+                             tautology_status)
 from canex.intuition import clean
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
 from canex.sampling import (random_canonical, random_partition,
                             random_tree_vector, stream_for_sample)
 from canex.terms import (canonicalize, decode_labelled_vector, distinct_vars,
-                         goal_of, leaf_count, parse, spine, spine_filters,
+                         goal_of, leaf_count, parse, spine_filters,
                          term_filters)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")

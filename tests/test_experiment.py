@@ -2,15 +2,13 @@ import json
 import os
 
 import pytest
-from conftest import left_chain
+from conftest import evaluate, left_chain, simple_rate
 
 from canex import classical, experiment, intuition, sampling
-from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
-                             TAUTOLOGY, evaluate)
+from canex.classical import CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY, TAUTOLOGY
 from canex.counting import stam_table
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
-                              classify, emit_report, rn_table, run_experiment,
-                              simple_rate)
+                              classify, emit_report, rn_table, run_experiment)
 from canex.intuition import clean
 from canex.sampling import SplitMix64, mix64, random_canonical, stream_for_sample
 from canex.terms import (canonical_form, decode_labelled_vector, parse, render,
@@ -222,6 +220,14 @@ class TestEmitReport:
         assert row.endswith(",0")
         timed = report.csv_row(timing=True)
         assert not timed.endswith(",0")
+
+    def test_dump_refused_for_a_report_run_without_one(self, tmp_path):
+        report = run_experiment(ExperimentConfig(n=20, count=50, seed=3))
+        assert report.records is None
+        with pytest.raises(ValueError, match="no per-sample records"):
+            emit_report(report, out_csv=str(tmp_path / "out.csv"),
+                        dump_jsonl=str(tmp_path / "dump.jsonl"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimpleRateAndTable:

@@ -2,18 +2,18 @@ import itertools
 import time
 
 import pytest
-from conftest import left_chain, terms_up_to_20_vars
+from conftest import evaluate, left_chain, spine, terms_up_to_20_vars
 from hypothesis import given, strategies as st
 
 from canex import intuition
-from canex.classical import CERT_ANTILOGY, TAUTOLOGY, evaluate, tautology_status
+from canex.classical import CERT_ANTILOGY, TAUTOLOGY, tautology_status
 from canex.experiment import classify
 from canex.intuition import cheap_verdict, clean, is_minor, is_mp, is_simple
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
 from canex.sampling import random_canonical, stream_for_sample
 from canex.terms import (canonical_form, distinct_vars, leaf_count, parse,
-                         render, spine, term_filters)
+                         render, term_filters)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
 

@@ -2,15 +2,15 @@ import itertools
 import random
 
 import pytest
+from conftest import evaluate, spine
 
-from canex.classical import evaluate
 from canex.counting import bell, catalan, count_canonical
 from canex import reference
 from canex.reference import (all_growth_strings, all_shapes, chi_square,
                              enumerate_canonical, prove_intuitionistic,
                              truth_table_tautology)
 from canex.terms import (distinct_vars, is_valid_growth_string, leaf_count,
-                         leaf_vars, parse, render, spine)
+                         leaf_vars, parse, render)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
 

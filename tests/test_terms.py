@@ -5,7 +5,7 @@ import re
 import time
 
 import pytest
-from conftest import left_chain, terms_up_to_20_vars
+from conftest import left_chain, spine, terms_up_to_20_vars
 from hypothesis import given
 
 from canex import terms
@@ -13,7 +13,7 @@ from canex.terms import (CanonicalityError, ParseError, RemyVectorError,
                          attach_vars, canonical_form, canonicalize,
                          decode_labelled_vector, decode_remy_vector,
                          is_valid_growth_string, leaf_count, leaf_vars, parse,
-                         render, shape_of, shape_string, spine, to_json_obj)
+                         render, shape_of, shape_string, to_json_obj)
 from canex.counting import count_canonical
 from canex.reference import enumerate_canonical
 from canex.sampling import random_canonical, random_tree_vector, stream_for_sample
