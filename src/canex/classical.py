@@ -13,8 +13,7 @@ variables; only its work is bounded, by ``SEARCH_BUDGET`` choice points, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .terms import Term, distinct_vars, goal_of, term_filters
 
@@ -92,20 +91,32 @@ def falsify_search(term: Term) -> Optional[dict[int, bool]]:
     return None
 
 
-@dataclass(frozen=True)
-class TautologyStatus:
+class TautologyStatus(NamedTuple):
     """Decision plus certificate: the antilogy flag or a falsifying valuation.
 
     A non-tautology keeps its raw ``term`` and a partial ``falsifier``, which
-    are neither compared nor printed: the goal false for an antilogy
+    are neither compared, hashed nor printed: the goal false for an antilogy
     (cleaning keeps the goal), or the search's own assignment.
     """
 
     status: str
     certificate: Optional[str] = None
-    term: Optional[Term] = field(default=None, compare=False, repr=False)
-    falsifier: Optional[Mapping[int, bool]] = field(
-        default=None, compare=False, repr=False)
+    term: Optional[Term] = None
+    falsifier: Optional[Mapping[int, bool]] = None
+
+    # Tuple equality would compare the terms, recursively; a deep one raises
+    # RecursionError.  So these read the decision and certificate only.
+    def __eq__(self, other):
+        return isinstance(other, TautologyStatus) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"TautologyStatus(status={self.status!r}, certificate={self.certificate!r})"
 
     @property
     def reason(self) -> Optional[str]:

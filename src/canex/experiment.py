@@ -13,10 +13,8 @@ import json
 import math
 import os
 import time
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import Counter, namedtuple
+from typing import NamedTuple, Optional
 
 from . import sampling
 from .classical import TAUTOLOGY, UNKNOWN, CERT_ANTILOGY, \
@@ -41,8 +39,7 @@ CSV_COLUMNS = (
 RNTABLE_COLUMNS = "n,count,seed,lognOverN,simpleRate,rateOverLognOverN"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """One sample's verdicts from both classifiers."""
 
     verdict: IntuitVerdict
@@ -73,25 +70,23 @@ def classify(term: Term) -> Classification:
     )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    n: int
-    count: int
-    seed: int = DEFAULT_SEED
-    workers: int = 1
-    dump_jsonl: Optional[str] = None
+class ExperimentConfig(namedtuple("ExperimentConfig", "n count seed workers dump_jsonl")):
+    """A run's parameters, checked as the config is made."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ()
+
+    def __new__(cls, n: int, count: int, seed: int = DEFAULT_SEED, workers: int = 1,
+                dump_jsonl: Optional[str] = None):
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if self.count < 1:
+        if count < 1:
             raise ValueError("count must be at least 1")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers must be at least 1")
+        return super().__new__(cls, n, count, seed, workers, dump_jsonl)
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     n: int
     count: int
     seed: int
@@ -109,7 +104,7 @@ class ExperimentReport:
     n_antilogy: int = 0
     n_unknown: int = 0
     elapsed_seconds: float = 0.0
-    records: Optional[list] = field(default=None, repr=False)  # None: run without a dump
+    records: Optional[list] = None  # None: run without a dump
 
     @property
     def ratio_cheap_over_taut(self) -> float:
@@ -204,11 +199,14 @@ def _chunks(n: int, seed: int, count: int, workers: int, *extra) -> list[tuple]:
 
 
 def _map_chunks(chunk_fn, chunks: list[tuple], workers: int) -> list:
-    """``chunk_fn`` over ``chunks``; in this process for one worker, else on one pool."""
-    if workers == 1:
+    """``chunk_fn`` over ``chunks``; in this process if one worker is usable, else on one pool."""
+    usable = _usable_workers(workers)
+    if usable == 1:
         return [chunk_fn(c) for c in chunks]
+    # Imported here, so that a run that opens no pool does not pay for it.
+    from concurrent.futures import ProcessPoolExecutor
     # Under fork a pool starts every process at once: cap them at chunks and CPUs.
-    with ProcessPoolExecutor(min(_usable_workers(workers), len(chunks))) as pool:
+    with ProcessPoolExecutor(min(usable, len(chunks))) as pool:
         return list(pool.map(chunk_fn, chunks))
 
 

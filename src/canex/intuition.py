@@ -12,7 +12,7 @@ intuitionistic theorem; the converse is not claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import Term, goal_of, leaf_count, term_filters
 
@@ -143,8 +143,7 @@ def _equal(a: Term, b: Term) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class IntuitVerdict:
+class IntuitVerdict(NamedTuple):
     """All cascade verdicts for one term."""
 
     simple: bool

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from canex import classical
 from canex.classical import (CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY,
                              SEARCH_BUDGET, TAUTOLOGY, UNKNOWN,
-                             SearchBudgetExceeded, falsify_search,
+                             SearchBudgetExceeded, TautologyStatus, falsify_search,
                              tautology_status)
 from canex.intuition import clean
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
@@ -273,6 +273,17 @@ class TestLazyWitness:
         assert status == status == status_of(left_chain(3000))
         assert "antilogy" in repr(status)
         hash(status)
+
+    def test_status_ignores_term_and_falsifier(self):
+        def status(term, falsifier):
+            return TautologyStatus(NOT_TAUTOLOGY, CERT_VALUATION, term=parse(term),
+                                   falsifier=falsifier)
+
+        base = status("a1->a0", {0: False})
+        for other in (status("a0->a1->a0", {0: False}), status("a1->a0", {0: False, 1: True})):
+            assert base == other and not base != other
+            assert hash(base) == hash(other)
+        assert base != TautologyStatus(NOT_TAUTOLOGY, CERT_ANTILOGY)
 
     def test_matches_eager_builder_exhaustive(self):
         for n in range(1, 7):

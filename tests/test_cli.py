@@ -340,3 +340,33 @@ class TestInstalledEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_one_worker_run_loads_no_pool_and_no_dataclasses(self, tmp_path):
+        # A run that opens no pool pays for no pool modules, nor for
+        # dataclasses (which imports inspect): tens of milliseconds of every
+        # fresh interpreter's start-up.  Modules loaded before canex (by
+        # site, say) do not count.
+        script = (
+            "import os, sys\n"
+            "before = set(sys.modules)\n"
+            "import canex, canex.cli\n"
+            "from canex.experiment import (ExperimentConfig, classify, emit_report,\n"
+            "                              rn_table, run_experiment)\n"
+            "from canex.terms import parse\n"
+            "row = run_experiment(ExperimentConfig(n=100, count=40, seed=1)).csv_row()\n"
+            f"dump = {str(tmp_path / 'dump.jsonl')!r}\n"
+            "emit_report(run_experiment(ExperimentConfig(n=25, count=20, seed=1,\n"
+            "                                            dump_jsonl=dump)), dump_jsonl=dump)\n"
+            "rn_table([5, 25], count=20, seed=1)\n"
+            "classify(parse('((a0->a1)->a0)->a0'))\n"
+            "canex.cli.main(['sample', '--n', '10', '--count', '2'])\n"
+            "loaded = set(sys.modules) - before\n"
+            "for name in ('concurrent.futures', 'multiprocessing', 'dataclasses'):\n"
+            "    assert name not in loaded, name\n"
+            "os.cpu_count = lambda: 2  # so that two workers open a pool on any host\n"
+            "two = run_experiment(ExperimentConfig(n=100, count=40, seed=1, workers=2))\n"
+            "assert two.csv_row() == row\n"
+            "assert 'concurrent.futures.process' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

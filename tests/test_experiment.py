@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import os
+from collections import Counter
 
 import pytest
 from conftest import evaluate, left_chain, simple_rate
@@ -8,7 +10,8 @@ from canex import classical, experiment, intuition, sampling
 from canex.classical import CERT_ANTILOGY, CERT_VALUATION, NOT_TAUTOLOGY, TAUTOLOGY
 from canex.counting import stam_table
 from canex.experiment import (CSV_COLUMNS, Classification, ExperimentConfig,
-                              classify, emit_report, rn_table, run_experiment)
+                              ExperimentReport, classify, emit_report, rn_table,
+                              run_experiment)
 from canex.intuition import clean
 from canex.sampling import SplitMix64, mix64, random_canonical, stream_for_sample
 from canex.terms import (canonical_form, decode_labelled_vector, parse, render,
@@ -128,6 +131,28 @@ class TestConfig:
             ExperimentConfig(n=1, count=0)
         with pytest.raises(ValueError):
             ExperimentConfig(n=1, count=1, workers=0)
+
+    def test_config_and_verdicts_are_read_only(self):
+        cls = classify(parse("(a0->a1)->a0"))
+        for obj, name in [(ExperimentConfig(n=5, count=1), "n"), (cls, "simple_non_taut"),
+                          (cls.verdict, "cheap"), (cls.taut, "status")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+
+
+class TestReport:
+    COUNTS = ("n_simple", "n_mp", "n_easy", "n_cheap", "n_tautology", "n_cheap_and_taut",
+              "n_cheap_unknown", "n_simple_non_taut", "n_antilogy", "n_unknown")
+
+    def test_defaults(self):
+        report = ExperimentReport(n=5, count=10, seed=1)
+        assert [getattr(report, name) for name in self.COUNTS] == [0] * len(self.COUNTS)
+        assert report.records is None
+        assert report.csv_row() == "5,10,1,0,0,0,0,0,0,0,0,0,0.0,0.0,0.0,0"
+
+    def test_counts_from_a_counter(self):
+        report = ExperimentReport(n=5, count=10, seed=1, **Counter(n_simple=3))
+        assert report.n_simple == 3
 
 
 class TestRunExperiment:
@@ -254,12 +279,13 @@ class TestSimpleRateAndTable:
     def test_rn_table_one_pool_for_all_sizes(self, monkeypatch):
         opened = []
 
-        class CountingPool(experiment.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 opened.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         text = rn_table([5, 10, 20], count=150, seed=4, workers=2)
         assert len(opened) == 1
         assert text == rn_table([5, 10, 20], count=150, seed=4, workers=1)
@@ -271,12 +297,13 @@ class TestSimpleRateAndTable:
             assert float(row.split(",")[4]) == simple_rate(n, 120, 6)
 
 
-def stand_in_pool(monkeypatch, on_open):
+def stand_in_pool(monkeypatch, on_open, cpus=2):
     """Replace the runner's pool with one that maps in this process.
 
     It starts no process: a real pool with a large worker count would, under
     fork, start them all at the first submit.  ``on_open(max_workers)`` is
-    called as it opens.
+    called as it opens.  ``os.cpu_count()`` reads ``cpus``: with one usable
+    CPU a run opens no pool.
     """
     class StandInPool:
         def __init__(self, max_workers=None):
@@ -291,7 +318,8 @@ def stand_in_pool(monkeypatch, on_open):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", StandInPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
 
 
 class TestPoolSize:
@@ -317,6 +345,18 @@ class TestPoolSize:
         stam_table.cache_clear()
         rn_table([11, 13], count=8, workers=2)
         assert cached == [1, 2]
+
+    def test_no_pool_with_one_usable_cpu(self, monkeypatch):
+        # Two workers on one CPU would fork a one-process pool and pickle
+        # every chunk back, for no parallelism.
+        def refuse(max_workers):
+            raise AssertionError("a pool opened with one usable CPU")
+
+        stand_in_pool(monkeypatch, refuse, cpus=1)
+        base = dict(n=25, count=60, seed=2, dump_jsonl="unused.jsonl")
+        one, two = (run_experiment(ExperimentConfig(**base, workers=w)) for w in (1, 2))
+        assert (one.csv_row(), one.records) == (two.csv_row(), two.records)
+        assert rn_table([5, 9], count=20, seed=4, workers=2) == rn_table([5, 9], count=20, seed=4)
 
 
 class TestCountPathBuildsOnlyUnsettledTerms:
