@@ -167,7 +167,8 @@ def random_tree_vector(rng: SplitMix64, n: int) -> list[int]:
 class ClassDescription(NamedTuple):
     """Elementwise class labels drawn in [0, num_classes); possibly with gaps.
 
-    ``labels`` is a ``LabelReader`` when the draw rejected no word, else a tuple.
+    ``labels`` is a tuple if a label word is among the ``2**b`` largest, else a ``LabelReader``;
+    for m = num_classes of b bits, the draw rejects only ``2**64 % m < m < 2**b`` of them.
     """
 
     labels: Sequence[int]
@@ -186,15 +187,14 @@ def _draw_labels(rng: SplitMix64, n: int, m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _rejected_positions(m: int) -> array:
-    """Sorted stream positions of the words a label draw for m rejects.
+def _top_positions(bits: int) -> array:
+    """Sorted stream positions of the ``2**bits`` largest words; built on first use.
 
-    Those are the words in [2**64 - 2**64 % m, 2**64), fewer than m.
-    ``mix64`` is a bijection, so each has one position,
-    ``unmix64(z) * gamma**-1 mod 2**64``.  Built when m is first drawn.
+    A label draw for m rejects the ``2**64 % m < m < 2**bits`` largest words when
+    m.bit_length() == bits, so these hold them all.  Word z is at ``unmix64(z) * gamma**-1``.
     """
     return array("Q", sorted(unmix64(z) * _GAMMA_INVERSE & _MASK64
-                             for z in range(_TWO64 - _TWO64 % m, _TWO64)))
+                             for z in range(_TWO64 - (1 << bits), _TWO64)))
 
 
 def _any_in_window(positions: array, first: int, k: int) -> bool:
@@ -238,15 +238,15 @@ def random_partition(rng: SplitMix64, n: int) -> ClassDescription:
 
     Stam's urn: a class count m from ``stam_table(n)`` (clamped to the
     table's length), then an independent label in [0, m) for each element,
-    by the rejection rule in README's determinism contract.  One ``bisect``
-    over the positions m rejects tells whether any of the n label words is
-    rejected.  If none is, the labels are a ``LabelReader`` over the stream's
-    state, computed as they are read, and the stream skips their n words;
-    else they are drawn in full.  Either way the stream ends past them.
+    by the rejection rule in README's determinism contract.  One ``bisect`` tells
+    whether a label word is among the ``2**b`` largest, b = m.bit_length(), which
+    hold every word the draw rejects (``2**64 % m < m < 2**b``).  If none is, the
+    labels are a ``LabelReader`` over the stream's state and the stream skips their
+    n words; else they are drawn in full.  Either way the stream ends past them.
     """
     table = stam_table(n)
     m = min(bisect_right(table, rng.random()) + 1, len(table))
-    if _any_in_window(_rejected_positions(m), (rng.position() + 1) & _MASK64, n):
+    if _any_in_window(_top_positions(m.bit_length()), (rng.position() + 1) & _MASK64, n):
         return ClassDescription(_draw_labels(rng, n, m), m)
     state = rng._state
     rng._state = (state + n * _GAMMA) & _MASK64

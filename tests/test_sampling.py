@@ -384,13 +384,16 @@ class TestClassLabels:
             with pytest.raises(IndexError):
                 labels[j]
 
-    def test_rejected_positions(self):
-        for m in (1, 2, 3, 7, 64, 1000, 4099):
-            limit = (1 << 64) - (1 << 64) % m
-            positions = sampling._rejected_positions(m)
+    def test_top_positions(self):
+        for bits in range(1, 13):
+            positions = sampling._top_positions(bits)
             assert list(positions) == sorted(positions)
-            assert len(positions) == (1 << 64) % m < m
-            assert sorted(mix64(q * GAMMA) for q in positions) == list(range(limit, 1 << 64))
+            assert len(positions) == 1 << bits
+            words = sorted(mix64(q * GAMMA) for q in positions)
+            assert words == list(range((1 << 64) - (1 << bits), 1 << 64))
+        # So the table for m's bit length holds every word a draw for m rejects.
+        for m in range(1, 4100):
+            assert (1 << 64) % m < 1 << m.bit_length()
 
     def test_rejected_label_word_takes_the_full_draw(self):
         # Draw 1 is the class count and draw j + 2 is label j.  A word at the
@@ -412,6 +415,25 @@ class TestClassLabels:
         assert len({m for first, _, m in seen if first}) >= 3
         assert len({m for _, last, m in seen if last}) >= 3
         assert len({m for first, last, m in seen if not first and not last}) >= 3
+
+    def test_top_word_not_rejected_takes_the_full_draw(self):
+        # A word among the 2**b largest (b the bit length of m) but below m's
+        # limit is accepted, yet the table cannot tell it from a rejected one.
+        seen = set()
+        for n in (5, 30, 100):
+            for j in (0, n // 2, n - 1):
+                for word in range(MASK64, MASK64 - 8, -1):
+                    fast, slow = forced_stream(j + 2, word), forced_stream(j + 2, word)
+                    partition, expected = random_partition(fast, n), scalar_partition(slow, n)
+                    labels, m = partition.labels, partition.num_classes
+                    assert m == expected.num_classes
+                    assert tuple(labels) == expected.labels
+                    assert fast.next_u64() == slow.next_u64()
+                    if (1 << 64) - (1 << m.bit_length()) <= word < (1 << 64) - (1 << 64) % m:
+                        assert not isinstance(labels, LabelReader)
+                        seen.add((n, j))
+        for n in (5, 30, 100):
+            assert {j for size, j in seen if size == n} == {0, n // 2, n - 1}
 
     def test_window_test_wraps_past_the_top(self):
         positions = array("Q", [2, 10, MASK64 - 1])
@@ -438,16 +460,25 @@ class TestClassLabels:
         assert isinstance(labels(), LabelReader) and tuple(labels()) == full
         # Mark position 8, past the wrap, as rejected, then position 9 just
         # beyond the window: only the first takes the full draw.
-        monkeypatch.setattr(sampling, "_rejected_positions", lambda _: array("Q", [8]))
+        monkeypatch.setattr(sampling, "_top_positions", lambda _: array("Q", [8]))
         assert labels() == full
         assert not isinstance(labels(), LabelReader)
-        monkeypatch.setattr(sampling, "_rejected_positions", lambda _: array("Q", [9]))
+        monkeypatch.setattr(sampling, "_top_positions", lambda _: array("Q", [9]))
         assert isinstance(labels(), LabelReader)
+
+    def test_one_table_at_large_n(self):
+        # Every class count drawn at n = 10**5 is 14 bits long, so 200 draws
+        # build one table, however many class counts they meet.
+        sampling._top_positions.cache_clear()
+        for index in range(200):
+            random_partition(stream_for_sample(7, index), 10 ** 5)
+        assert len(sampling._top_positions(14)) == 1 << 14
+        assert sampling._top_positions.cache_info().currsize == 1  # the 14-bit one
 
     def test_no_cache_filled_at_import(self):
         script = ("import canex, canex.cli\n"
                   "from canex import sampling\n"
-                  "assert sampling._rejected_positions.cache_info().currsize == 0\n")
+                  "assert sampling._top_positions.cache_info().currsize == 0\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
