@@ -130,24 +130,13 @@ class ExperimentReport(NamedTuple):
         return ",".join(str(c) for c in cells)
 
 
-def _raw_sample(n: int, seed: int, index: int) -> tuple[list, sampling.ClassDescription]:
-    """Sample ``index``'s insertion vector and class description, in stream order.
-
-    These are the draws ``random_canonical`` makes.  They go through the
-    ``sampling`` module, where the tracer times them.
-    """
-    rng = stream_for_sample(seed, index)
-    vector = sampling.random_tree_vector(rng, n)
-    return vector, sampling.random_partition(rng, n)
-
-
 def _classify_chunk(args) -> tuple[Counter, list]:
     """Counts keyed by ``ExperimentReport`` field, and the chunk's records."""
     n, seed, lo, hi, dump = args
     counts = Counter()
     records = []
     for index in range(lo, hi):
-        vector, partition = _raw_sample(n, seed, index)
+        vector, partition = sampling.random_draw(stream_for_sample(seed, index), n)
         if not dump:
             _, antilogy, simple_non_taut = spine_filters(vector, partition.labels)
             if antilogy:
@@ -250,7 +239,7 @@ def _simple_rate_chunk(args) -> int:
     n, seed, lo, hi = args
     hits = 0
     for index in range(lo, hi):
-        vector, partition = _raw_sample(n, seed, index)
+        vector, partition = sampling.random_draw(stream_for_sample(seed, index), n)
         hits += spine_filters(vector, partition.labels)[0]
     return hits
 

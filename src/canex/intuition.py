@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .terms import Term, goal_of, leaf_count, term_filters
+from .terms import Term, goal_of, leaf_vars, term_filters
 
 
 def is_simple(term: Term) -> bool:
@@ -155,7 +155,7 @@ class IntuitVerdict(NamedTuple):
 
     @property
     def cleaned_size(self) -> int:
-        return leaf_count(self.cleaned)
+        return len(leaf_vars(self.cleaned))
 
 
 def cheap_verdict(term: Term, cleaned: Term, simple: bool) -> IntuitVerdict:

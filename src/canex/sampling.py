@@ -262,8 +262,13 @@ def to_growth_string(description: ClassDescription) -> tuple[int, ...]:
     return canonicalize(tuple(description.labels))
 
 
-def random_canonical(rng: SplitMix64, n: int) -> Term:
-    """Uniform canonical expression with n leaves: tree draw, then naming draw."""
+def random_draw(rng: SplitMix64, n: int) -> tuple[list[int], ClassDescription]:
+    """The insertion vector and then the class description of one sample, from ``rng``."""
     vector = random_tree_vector(rng, n)
-    growth = to_growth_string(random_partition(rng, n))
-    return decode_labelled_vector(vector, growth)
+    return vector, random_partition(rng, n)
+
+
+def random_canonical(rng: SplitMix64, n: int) -> Term:
+    """Uniform canonical expression with n leaves: the decode of one ``random_draw``."""
+    vector, description = random_draw(rng, n)
+    return decode_labelled_vector(vector, to_growth_string(description))

@@ -60,27 +60,13 @@ def leaf_vars(term: Term) -> list[int]:
         node = rights.pop()
 
 
-def leaf_count(term: Term) -> int:
-    """Number of leaves: one more than the number of implications."""
-    count = 1
-    work = [term]  # compound premises still to count
-    while work:
-        node = work.pop()
-        while type(node) is tuple:  # down the right spine
-            count += 1
-            if type(node[0]) is tuple:
-                work.append(node[0])
-            node = node[1]
-    return count
-
-
 def distinct_vars(term: Term) -> set[int]:
     return set(leaf_vars(term))
 
 
 def shape_of(term: Term) -> Shape:
     """Forget the leaf labels."""
-    return attach_vars(term, [None] * leaf_count(term))
+    return attach_vars(term, [None] * len(leaf_vars(term)))
 
 
 def attach_vars(shape: Shape, labels: Sequence) -> Term:

@@ -16,7 +16,7 @@ from canex.reference import enumerate_canonical, prove_intuitionistic, \
 from canex.sampling import (random_canonical, random_partition,
                             random_tree_vector, stream_for_sample)
 from canex.terms import (canonicalize, decode_labelled_vector, distinct_vars,
-                         goal_of, leaf_count, parse, spine_filters,
+                         goal_of, leaf_vars, parse, spine_filters,
                          term_filters)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
@@ -516,7 +516,7 @@ class TestCompleteSearch:
     def test_pigeonhole_exhausts_budget(self):
         term = pigeonhole(5, 4)
         assert len(distinct_vars(term)) == 21
-        assert leaf_count(term) == 156
+        assert len(leaf_vars(term)) == 156
         status = status_of(term)
         assert status.status == UNKNOWN
         assert str(SEARCH_BUDGET) in status.reason

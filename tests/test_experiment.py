@@ -394,7 +394,7 @@ class TestCountPathBuildsOnlyUnsettledTerms:
 class TestCountPathReadsLabelsOnDemand:
     @staticmethod
     def words_per_sample(monkeypatch, run) -> list[int]:
-        """Words each sample of ``run()`` computes, counted from one draw to the next."""
+        """Words each sample of ``run()`` computes, counted from one stream to the next."""
         words = [0]
         marks = []
 
@@ -408,15 +408,15 @@ class TestCountPathReadsLabelsOnDemand:
             words[0] += k
             return take(self, k)
 
-        raw_sample = experiment._raw_sample
+        stream = experiment.stream_for_sample
 
         def marking(*args):
             marks.append(words[0])
-            return raw_sample(*args)
+            return stream(*args)
 
         monkeypatch.setattr(sampling, "mix64", counting_mix64)
         monkeypatch.setattr(SplitMix64, "take", counting_take)
-        monkeypatch.setattr(experiment, "_raw_sample", marking)
+        monkeypatch.setattr(experiment, "stream_for_sample", marking)
         run()
         marks.append(words[0])
         return [b - a for a, b in zip(marks, marks[1:])]

@@ -12,7 +12,7 @@ from canex.intuition import cheap_verdict, clean, is_minor, is_mp, is_simple
 from canex.reference import enumerate_canonical, prove_intuitionistic, \
     truth_table_tautology
 from canex.sampling import random_canonical, stream_for_sample
-from canex.terms import (canonical_form, distinct_vars, leaf_count, parse,
+from canex.terms import (canonical_form, distinct_vars, leaf_vars, parse,
                          render, term_filters)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
@@ -170,7 +170,7 @@ class TestClean:
         exhaustive = (t for n in range(1, 7) for t in enumerate_canonical(n))
         for term in itertools.chain(exhaustive, sampled):
             cleaned = clean(term)
-            assert leaf_count(cleaned) <= leaf_count(term)
+            assert len(leaf_vars(cleaned)) <= len(leaf_vars(term))
             assert clean(cleaned) == cleaned
 
     def test_preserves_provability_exhaustive(self):
@@ -306,11 +306,11 @@ class TestCheap:
     def test_cleaned_size_is_counted_when_read(self, monkeypatch):
         calls = []
 
-        def counting_leaf_count(term):
+        def counting_leaf_vars(term):
             calls.append(term)
-            return leaf_count(term)
+            return leaf_vars(term)
 
-        monkeypatch.setattr(intuition, "leaf_count", counting_leaf_count)
+        monkeypatch.setattr(intuition, "leaf_vars", counting_leaf_vars)
         verdict = verdict_of(parse("((a0->a0)->a1)->a1", canonical=False))
         assert calls == []
         assert verdict.cleaned_size == 2

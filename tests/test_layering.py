@@ -103,3 +103,15 @@ def test_every_package_name_has_a_package_caller():
     # The names other modules import from it, and its own calls, still count.
     found = uncalled({module: tree_of(module) for module in MODULES})
     assert [name for name in found if not name.startswith("reference.")] == []
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES if module != "sampling"])
+def test_only_sampling_names_the_two_draws(module):
+    # A sample's tree and naming draws are made together by
+    # sampling.random_draw, so every run draws the term random_canonical
+    # returns.  Against a sampling that holds only the two draws, the caller
+    # guard lists each one that ``module`` does not name.
+    draws = ast.parse("def random_tree_vector(): pass\ndef random_partition(): pass\n")
+    found = uncalled({"sampling": draws, module: tree_of(module)})
+    assert [name for name in found if name.startswith("sampling.")] == \
+        ["sampling.random_tree_vector", "sampling.random_partition"]

@@ -9,7 +9,7 @@ from canex import reference
 from canex.reference import (all_growth_strings, all_shapes, chi_square,
                              enumerate_canonical, prove_intuitionistic,
                              truth_table_tautology)
-from canex.terms import (distinct_vars, is_valid_growth_string, leaf_count,
+from canex.terms import (distinct_vars, is_valid_growth_string,
                          leaf_vars, parse, render)
 
 PEIRCE = parse("((a0->a1)->a0)->a0")
@@ -42,7 +42,7 @@ class TestEnumeration:
         for n in range(1, 6):
             seen = set()
             for term in enumerate_canonical(n):
-                assert leaf_count(term) == n
+                assert len(leaf_vars(term)) == n
                 assert is_valid_growth_string(leaf_vars(term))
                 assert term not in seen
                 seen.add(term)
